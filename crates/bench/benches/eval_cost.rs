@@ -168,11 +168,11 @@ fn bench_cascade_paths(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scratch", samples), &demand, |b, d| {
             let mut scratch = CascadeScratch::new();
             hierarchy
-                .attribute_with_scratch(d, 1.0e6, 1, &mut scratch)
+                .attribute_with_scratch(d, 1.0e6, &mut scratch)
                 .unwrap();
             b.iter(|| {
                 hierarchy
-                    .attribute_with_scratch(black_box(d), 1.0e6, 1, &mut scratch)
+                    .attribute_with_scratch(black_box(d), 1.0e6, &mut scratch)
                     .unwrap()
             })
         });

@@ -15,8 +15,8 @@
 //!   and bytes, with a kill-and-resume bit-identity check on a capped
 //!   sub-study) — written separately to `results/BENCH_montecarlo.json`;
 //! * a `temporal` section timing the flat Temporal Shapley cascade against
-//!   the retained per-period path on a year-long 5-minute trace under the
-//!   paper hierarchy (bit-identity asserted), plus batched
+//!   the per-period reference on a year-long 5-minute trace under the
+//!   paper hierarchy (the 1e-9 closeness pin asserted), plus batched
 //!   `workload_carbon_batch` billing-query throughput — written to
 //!   `results/BENCH_temporal.json`;
 //! * a `service` section driving the always-on attribution service
@@ -25,12 +25,13 @@
 //!   bit-identity gate against a from-scratch rebuild, and sharded batch
 //!   throughput — written to `results/BENCH_service.json`;
 //! * a `kernels` section timing each lane-parallel inner-loop kernel
-//!   against its retained scalar path on the year-long trace — the fused
-//!   per-period sweep, the leaf carbon prefix, the exact-table scatter,
-//!   and the paired antithetic replay — reporting GB/s and elements/ns
-//!   per kernel with the equality/closeness gates asserted in the same
-//!   run, plus a thread-scaling curve (1/2/4/… up to `--threads`) for
-//!   the `run_parallel`-backed paths — written to
+//!   against its scalar reference on the year-long trace — the fused
+//!   per-period sweep (against `kernels::level_sums_scalar`), the leaf
+//!   carbon prefix, the exact-table scatter, and the paired antithetic
+//!   replay — reporting GB/s and elements/ns per kernel with the
+//!   equality/closeness gates asserted in the same run, plus a
+//!   thread-scaling curve (1/2/4/… up to `--threads`) for the parallel
+//!   exact solver — written to
 //!   `results/BENCH_kernels.json`;
 //! * a `surrogate` section running the surrogate-accelerated attribution
 //!   benchmark (harvest → cross-fitted ridge fit → error-bounded serving
@@ -203,8 +204,6 @@ struct TemporalReport {
     /// Flat cascade through a reused `CascadeScratch` (allocation-free
     /// steady state).
     flat_scratch_secs: f64,
-    /// Flat cascade with per-level parallel splits at `--threads`.
-    flat_parallel_secs: f64,
     /// Fresh flat call vs the per-period reference (the ≥5× target).
     speedup_fresh: f64,
     /// Scratch-reuse flat call vs the per-period reference.
@@ -250,13 +249,16 @@ struct KernelsReport {
     /// Cores the OS reports — speedup curves below are flat when this
     /// is 1 (single-CPU runners time slice the worker threads).
     available_cores: usize,
-    /// `run_parallel`-backed paths at 1/2/4/… threads up to `--threads`.
+    /// `parallel_exact_shapley` at 1/2/4/… threads up to `--threads`.
     thread_scaling: Vec<ScalingRow>,
     /// Process peak RSS (`VmHWM`) in KiB.
     peak_rss_kib: Option<u64>,
 }
 
-/// One lane-parallel kernel against its retained scalar path.
+/// One lane-parallel kernel against its scalar reference. For the
+/// `fused_sweep` row the scalar column times `kernels::level_sums_scalar`,
+/// the generic left-to-right reference loop (no production path runs
+/// it).
 #[derive(Serialize)]
 struct KernelRow {
     kernel: &'static str,
@@ -305,18 +307,16 @@ impl KernelRow {
 #[derive(Serialize)]
 struct ScalingRow {
     threads: usize,
-    /// `TemporalShapley::attribute_parallel` on the year trace.
-    attribute_secs: f64,
     /// `parallel_exact_shapley` on the scaling game.
     exact_secs: f64,
-    /// Wall-time ratios versus the 1-thread row.
-    attribute_speedup: f64,
+    /// Wall-time ratio versus the 1-thread row.
     exact_speedup: f64,
 }
 
 /// Asserts two attributions agree within `tol` relative error in every
-/// observable — the lane canonical reassociates sums, so lane-vs-scalar
-/// comparisons are closeness pins, not bit pins.
+/// observable — the cascade's lane canonical reassociates sums, so the
+/// comparison with the per-period reference is a closeness pin, not a
+/// bit pin.
 fn assert_attributions_close(
     label: &str,
     a: &TemporalAttribution,
@@ -335,24 +335,6 @@ fn assert_attributions_close(
     }
     assert!(
         close(a.stranded_carbon(), b.stranded_carbon()),
-        "{label}: stranded carbon"
-    );
-}
-
-/// Asserts two attributions agree bit-for-bit in every observable.
-fn assert_attributions_identical(label: &str, a: &TemporalAttribution, b: &TemporalAttribution) {
-    assert_eq!(a.level_intensity().len(), b.level_intensity().len());
-    for (la, lb) in a.level_intensity().iter().zip(b.level_intensity()) {
-        for (va, vb) in la.values().iter().zip(lb.values()) {
-            assert_eq!(va.to_bits(), vb.to_bits(), "{label}: level intensity");
-        }
-    }
-    for (va, vb) in a.carbon_prefix().iter().zip(b.carbon_prefix()) {
-        assert_eq!(va.to_bits(), vb.to_bits(), "{label}: carbon prefix");
-    }
-    assert_eq!(
-        a.stranded_carbon().to_bits(),
-        b.stranded_carbon().to_bits(),
         "{label}: stranded carbon"
     );
 }
@@ -901,18 +883,10 @@ fn main() {
         let reference = hierarchy
             .attribute_per_period(&demand, total_carbon)
             .expect("paper hierarchy divides the trace");
-        // The retained scalar kernels reproduce the per-period reference
-        // bit for bit; the default lane canonical reassociates sums, so
-        // it is closeness-pinned against the scalar path, and parallel
-        // fan-out must reproduce the serial lane bits exactly.
-        let scalar = hierarchy.attribute_scalar(&demand, total_carbon).unwrap();
-        assert_attributions_identical("scalar flat vs per-period", &reference, &scalar);
+        // The cascade's lane canonical reassociates sums, so it is
+        // closeness-pinned against the per-period reference.
         let flat = hierarchy.attribute(&demand, total_carbon).unwrap();
-        assert_attributions_close("lane flat vs scalar flat", &scalar, &flat, 1e-9);
-        let parallel = hierarchy
-            .attribute_parallel(&demand, total_carbon, threads)
-            .unwrap();
-        assert_attributions_identical("parallel vs serial lane", &flat, &parallel);
+        assert_attributions_close("flat vs per-period", &reference, &flat, 1e-9);
 
         let per_period_secs = best_secs(trials, || {
             hierarchy
@@ -924,16 +898,11 @@ fn main() {
         });
         let mut scratch = CascadeScratch::new();
         hierarchy
-            .attribute_with_scratch(&demand, total_carbon, 1, &mut scratch)
+            .attribute_with_scratch(&demand, total_carbon, &mut scratch)
             .unwrap();
         let flat_scratch_secs = best_secs(trials, || {
             hierarchy
-                .attribute_with_scratch(&demand, total_carbon, 1, &mut scratch)
-                .unwrap()
-        });
-        let flat_parallel_secs = best_secs(trials, || {
-            hierarchy
-                .attribute_parallel(&demand, total_carbon, threads)
+                .attribute_with_scratch(&demand, total_carbon, &mut scratch)
                 .unwrap()
         });
 
@@ -983,7 +952,6 @@ fn main() {
             per_period_secs,
             flat_fresh_secs,
             flat_scratch_secs,
-            flat_parallel_secs,
             speedup_fresh: per_period_secs / flat_fresh_secs,
             speedup_scratch: per_period_secs / flat_scratch_secs,
             queries,
@@ -992,14 +960,13 @@ fn main() {
             peak_rss_kib: peak_rss_kib(),
         };
         println!(
-        "temporal   per-period {:.4}s  flat {:.4}s ({:.2}x)  scratch {:.4}s ({:.2}x)  parallel {:.4}s",
-        temporal.per_period_secs,
-        temporal.flat_fresh_secs,
-        temporal.speedup_fresh,
-        temporal.flat_scratch_secs,
-        temporal.speedup_scratch,
-        temporal.flat_parallel_secs
-    );
+            "temporal   per-period {:.4}s  flat {:.4}s ({:.2}x)  scratch {:.4}s ({:.2}x)",
+            temporal.per_period_secs,
+            temporal.flat_fresh_secs,
+            temporal.speedup_fresh,
+            temporal.flat_scratch_secs,
+            temporal.speedup_scratch
+        );
         println!(
             "temporal   {} queries in {:.4}s = {:.2}M queries/s; {} series clones avoided per call",
             temporal.queries,
@@ -1014,7 +981,7 @@ fn main() {
         println!("wrote {}", path.display());
     }
 
-    // --- kernels: lane-parallel inner loops vs retained scalar paths ---
+    // --- kernels: lane-parallel inner loops vs their scalar references ---
     if run("kernels") {
         let samples = args.usize("temporal-samples", 105_120).max(8_640);
         let step = 300u32;
@@ -1228,40 +1195,32 @@ fn main() {
             },
         );
 
-        // Thread-scaling curve for the run_parallel-backed paths, every
-        // point asserted bit-identical to the serial result first.
+        // Thread-scaling curve for the parallel exact solver, every point
+        // asserted bit-identical to the serial result first.
         let available_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let scaling_game = peak_game(replay_players, 8, seed + 600);
-        let attr_reference = hierarchy.attribute(&demand, 1.0e6).unwrap();
         let exact_reference = exact_shapley(&scaling_game).unwrap();
         let mut scaling_raw = Vec::new();
         let mut t = 1usize;
         loop {
-            let attribution = hierarchy.attribute_parallel(&demand, 1.0e6, t).unwrap();
-            assert_attributions_identical("thread scaling", &attr_reference, &attribution);
             let phi = parallel_exact_shapley(&scaling_game, t).unwrap();
             for (a, b) in phi.iter().zip(&exact_reference) {
                 assert_eq!(a.to_bits(), b.to_bits(), "thread scaling: exact table");
             }
-            let attribute_secs = best_secs(trials, || {
-                hierarchy.attribute_parallel(&demand, 1.0e6, t).unwrap()
-            });
             let exact_secs =
                 best_secs(trials, || parallel_exact_shapley(&scaling_game, t).unwrap());
-            scaling_raw.push((t, attribute_secs, exact_secs));
+            scaling_raw.push((t, exact_secs));
             if t >= threads {
                 break;
             }
             t = (t * 2).min(threads);
         }
-        let (_, attr_base, exact_base) = scaling_raw[0];
+        let (_, exact_base) = scaling_raw[0];
         let thread_scaling: Vec<ScalingRow> = scaling_raw
             .iter()
-            .map(|&(threads, attribute_secs, exact_secs)| ScalingRow {
+            .map(|&(threads, exact_secs)| ScalingRow {
                 threads,
-                attribute_secs,
                 exact_secs,
-                attribute_speedup: attr_base / attribute_secs,
                 exact_speedup: exact_base / exact_secs,
             })
             .collect();
@@ -1313,10 +1272,8 @@ fn main() {
         }
         for row in &thread_scaling {
             println!(
-                "kernels    threads={:<2} attribute {:>9.2} µs ({:.2}x)  exact n={} {:>9.2} µs ({:.2}x)",
+                "kernels    threads={:<2} exact n={} {:>9.2} µs ({:.2}x)",
                 row.threads,
-                row.attribute_secs * 1.0e6,
-                row.attribute_speedup,
                 replay_players,
                 row.exact_secs * 1.0e6,
                 row.exact_speedup

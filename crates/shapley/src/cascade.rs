@@ -1,63 +1,41 @@
-//! The flat, zero-copy Temporal Shapley cascade.
+//! The flat, zero-copy Temporal Shapley cascade — the one production
+//! path behind
+//! [`TemporalShapley::attribute`](crate::temporal::TemporalShapley::attribute).
 //!
-//! [`TemporalShapley::attribute`](crate::temporal::TemporalShapley::attribute)
-//! originally materialized every hierarchy period as an owned
-//! [`TimeSeries`](fairco2_trace::TimeSeries): each level cloned the whole
-//! demand buffer into per-period series, rescanned every period for its
-//! peak and its integral, and allocated a fresh per-sample intensity
-//! vector — `O(samples · levels)` copies and ~`Σ periods` heap
-//! allocations per call. This module replaces that pipeline with a flat
-//! engine in which a *period is an index range* over the one shared
-//! demand slice:
+//! A *period is an index range* over the one shared demand slice; no
+//! sample is ever copied into a per-period series:
 //!
 //! * **Period bounds** are plain `usize` offsets, derived level by level
 //!   with the same remainder rule as
-//!   [`TimeSeries::split`](fairco2_trace::TimeSeries::split) — no sample
-//!   is ever copied.
-//! * **Peaks** come from a MaxTree: the fused sweep computes every
-//!   *leaf* period's peak, and — because hierarchy bounds are nested,
-//!   so every period at every level is an exact union of its children —
-//!   one bottom-up pass folds child peaks into parent peaks,
-//!   `O(periods)` maxes total instead of a rescan of the samples per
-//!   level. `f64::max` over finite samples is associative and selects
-//!   one of its operands bit-for-bit, so folding peaks of contiguous
-//!   child groups equals the old left-to-right
-//!   `fold(NEG_INFINITY, f64::max)` scan over the raw samples exactly
-//!   (the one exception — a tie between `+0.0` and `-0.0` — cannot
-//!   arise for non-negative demand). A [`RangeMax`] sparse table over
-//!   the leaf peaks is exported alongside for `O(1)` *arbitrary*-window
-//!   peak queries.
-//! * **Integrals** come from one fused sweep over the demand slice that
-//!   accumulates every level's per-period sums simultaneously. Two
-//!   kernels implement the sweep, selected by [`KernelMode`]:
-//!   - [`KernelMode::Scalar`] keeps the original left-to-right fold
-//!     over exactly each period's samples from `0.0` — bit-identical
-//!     to [`TimeSeries::integral`] on the period's series, retained as
-//!     the equality/closeness pin for the lane path.
-//!   - [`KernelMode::Lane`] (the default) uses the documented
-//!     *canonical lane reduction*: within every leaf period, lane
-//!     `j ∈ 0..CANONICAL_LANES` sums the samples at within-leaf offsets
-//!     `≡ j (mod CANONICAL_LANES)`; each leaf's lane vector collapses
-//!     to one leaf sum through the fixed adjacent-pair tree of
-//!     [`combine_lanes`], and every level's period sum is the
-//!     left-to-right sum of its leaves' sums. The lane count, the
-//!     combine order, and the leaf-sum order are all constants of the
-//!     hierarchy shape — independent of the demand values — so the
-//!     reduction is deterministic and reproducible by the streaming
-//!     engine ([`crate::incremental`]) bit-for-bit. It *reassociates*
-//!     addition relative to the scalar fold, so lane sums match the
-//!     scalar ones only to a documented ulp bound (see DESIGN.md §8).
-//!     Peaks are unaffected: `f64::max` is associative and
-//!     operand-selecting, so lane-split peaks stay bit-identical.
-//! * **Scratch reuse**: all bounds, sums, carbon, intensity, and solver
-//!   buffers live in a [`CascadeScratch`]; a repeated
+//!   [`TimeSeries::split`](fairco2_trace::TimeSeries::split). They depend
+//!   only on `(samples, splits)` and are cached in the scratch.
+//! * **Integrals and leaf peaks** come from one fused sweep over the
+//!   demand slice under the documented *canonical lane reduction*:
+//!   within every leaf period, lane `j ∈ 0..CANONICAL_LANES` sums the
+//!   samples at within-leaf offsets `≡ j (mod CANONICAL_LANES)`; each
+//!   leaf's lane vector collapses to one leaf sum through the fixed
+//!   adjacent-pair tree of [`combine_lanes`], and every level's period
+//!   sum is the left-to-right sum of its leaves' sums. The lane count,
+//!   the combine order and the leaf-sum order are constants of the
+//!   hierarchy shape, so the reduction is deterministic and the
+//!   streaming engine ([`crate::incremental`]) reproduces it
+//!   bit-for-bit. It *reassociates* addition relative to the per-period
+//!   reference's left-to-right fold, so the two agree to a documented
+//!   ulp bound (DESIGN.md §8), not bitwise.
+//! * **Peaks** use the same lane partition with `f64::max`
+//!   ([`combine_lanes_max`]). Hierarchy bounds are nested, so one
+//!   bottom-up pass folds leaf peaks into every intermediate level's
+//!   period peaks (a MaxTree). `f64::max` over finite samples is
+//!   associative and selects one of its operands, so every peak is
+//!   bit-identical to the reference's left-to-right scan.
+//! * **The carbon split** walks the levels top-down, one
+//!   [`peak_shapley_into`] call per parent period with reused buffers.
+//! * **The billing prefix** is the blocked two-level prefix
+//!   ([`PREFIX_BLOCK`]-sample blocks) over the leaf signal.
+//! * **Scratch reuse**: every buffer lives in a [`CascadeScratch`]; a
+//!   repeated
 //!   [`attribute_with_scratch`](crate::temporal::TemporalShapley::attribute_with_scratch)
 //!   call on same-shaped inputs performs no heap allocation.
-//! * **Parallel levels**: with `threads > 1` each level fans its parent
-//!   periods out over [`run_parallel`](crate::parallel::run_parallel)
-//!   and merges the per-parent child shares in strict parent order, so
-//!   the result is bit-identical to the serial path — and to the old
-//!   per-period path — at any thread count.
 //!
 //! The billing-query side lives here too: [`IntensityIndex`] wraps the
 //! leaf carbon prefix sums and answers `(t0, t1, allocation)` queries in
@@ -67,88 +45,7 @@
 
 use fairco2_trace::series::{SeriesError, TimeSeries};
 
-use crate::parallel::run_parallel;
 use crate::temporal::peak_shapley_into;
-
-/// A sparse table answering `max(values[lo..hi])` in `O(1)` after an
-/// `O(n log n)` build.
-///
-/// Internal nodes combine with [`f64::max`], the operator the original
-/// per-period peak scan used; since `max` over finite floats is
-/// associative and always returns one of its operands, every query is
-/// bit-identical to a left-to-right fold over the same range. The table
-/// owns its buffers and [`RangeMax::build`] reuses them, so rebuilding
-/// over a same-length slice allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct RangeMax {
-    len: usize,
-    /// `levels[k][i] = max(values[i .. i + 2^k])`; `levels[0]` mirrors
-    /// the input.
-    levels: Vec<Vec<f64>>,
-}
-
-impl RangeMax {
-    /// An empty table; call [`RangeMax::build`] before querying.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// (Re)builds the table over `values`, reusing prior allocations.
-    pub fn build(&mut self, values: &[f64]) {
-        let n = values.len();
-        self.len = n;
-        let height = if n <= 1 { 1 } else { n.ilog2() as usize + 1 };
-        self.levels.truncate(height);
-        while self.levels.len() < height {
-            self.levels.push(Vec::new());
-        }
-        self.levels[0].clear();
-        self.levels[0].extend_from_slice(values);
-        for k in 1..height {
-            let half = 1usize << (k - 1);
-            let entries = n - (1usize << k) + 1;
-            let (below, level) = {
-                let (a, b) = self.levels.split_at_mut(k);
-                (&a[k - 1], &mut b[0])
-            };
-            level.clear();
-            level.extend((0..entries).map(|i| f64::max(below[i], below[i + half])));
-        }
-    }
-
-    /// Number of values the table was built over.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the table is empty (never built, or built over nothing).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The values the table was built over (row 0, unchanged).
-    pub fn leaves(&self) -> &[f64] {
-        self.levels.first().map_or(&[], Vec::as_slice)
-    }
-
-    /// `max(values[lo..hi])`, bit-identical to folding that range
-    /// left-to-right with `f64::max` from `NEG_INFINITY`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `hi > len` — a peak over an empty range
-    /// is undefined.
-    #[inline]
-    pub fn query(&self, lo: usize, hi: usize) -> f64 {
-        assert!(
-            lo < hi && hi <= self.len,
-            "range [{lo}, {hi}) out of bounds"
-        );
-        let k = (hi - lo).ilog2() as usize;
-        let level = &self.levels[k];
-        f64::max(level[lo], level[hi - (1usize << k)])
-    }
-}
 
 /// Reusable state for the flat cascade: period bounds, per-period sums
 /// and carbon, per-level intensity buffers, the MaxTree of per-level
@@ -162,7 +59,7 @@ impl RangeMax {
 /// [`TemporalAttribution`](crate::temporal::TemporalAttribution) with
 /// [`CascadeScratch::to_attribution`]. Buffers grow to the largest
 /// `(series length, hierarchy)` seen and are then reused; a repeated
-/// serial attribution performs no heap allocation.
+/// attribution performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct CascadeScratch {
     /// Grid of the last attributed series.
@@ -203,11 +100,6 @@ pub struct CascadeScratch {
     naive: f64,
     ops: u64,
 }
-
-/// Per-parent output of a parallel level step: the children's carbon
-/// shares, in child order. Sums are recomputed identically on merge, so
-/// only the shares cross the thread boundary.
-type ParentShares = Vec<f64>;
 
 impl CascadeScratch {
     /// An empty scratch; buffers are sized on first use.
@@ -307,17 +199,8 @@ impl CascadeScratch {
     }
 }
 
-/// Resizes `buffers` to `levels` entries without dropping capacity of
-/// the retained ones.
-fn ensure_levels<T: Default>(buffers: &mut Vec<T>, levels: usize) {
-    buffers.truncate(levels);
-    while buffers.len() < levels {
-        buffers.push(T::default());
-    }
-}
-
-/// Lane count of the canonical lane reduction used by
-/// [`KernelMode::Lane`] and [`crate::incremental::IncrementalCascade`].
+/// Lane count of the canonical lane reduction used by the cascade and
+/// [`crate::incremental::IncrementalCascade`].
 ///
 /// This is a *semantic* constant, not a tuning knob: changing it
 /// changes which reassociated sum the lane kernels produce, so every
@@ -329,11 +212,11 @@ fn ensure_levels<T: Default>(buffers: &mut Vec<T>, levels: usize) {
 pub const CANONICAL_LANES: usize = 4;
 
 /// Block length of the blocked two-level prefix
-/// ([`fill_prefix_blocked`]). Part of the canonical reduction: the
-/// serial `acc += intensity · step` chain restarts at every multiple of
-/// this constant, and the inter-block carry is itself a serial sum of
-/// block totals. For signals no longer than one block the result is
-/// bit-identical to the scalar chain.
+/// ([`prefix_blocked`](crate::kernels::prefix_blocked)). Part of the
+/// canonical reduction: the serial `acc += intensity · step` chain
+/// restarts at every multiple of this constant, and the inter-block
+/// carry is itself a serial sum of block totals. For signals no longer
+/// than one block the result is bit-identical to the serial chain.
 ///
 /// Like [`CANONICAL_LANES`], this is a *semantic* constant. Blocks are
 /// deliberately short: the whole local chain of one block fits inside
@@ -344,24 +227,6 @@ pub const CANONICAL_LANES: usize = 4;
 /// machine's reorder capacity, serializing the kernel back to chain
 /// latency.
 pub const PREFIX_BLOCK: usize = 8;
-
-/// Which inner-loop implementation [`run_cascade`] uses.
-///
-/// Both modes run the same algorithm; they differ only in floating-point
-/// summation order (and therefore in ulp-level rounding) as documented
-/// on the module and in DESIGN.md §8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// The original serial loops: per-period left-to-right folds and a
-    /// single `acc += value · step` prefix chain. Bit-identical to the
-    /// per-period reference path; retained as the pin for `Lane`.
-    Scalar,
-    /// The lane-parallel canonical reduction: [`CANONICAL_LANES`]
-    /// accumulator lanes per sum, combined with [`combine_lanes`], and
-    /// the [`PREFIX_BLOCK`]-blocked two-level prefix.
-    #[default]
-    Lane,
-}
 
 /// Folds a lane vector into one sum with the fixed adjacent-pair tree:
 /// `((l0 + l1) + (l2 + l3))` for `K = 4`, recursively for larger `K`.
@@ -429,7 +294,7 @@ pub(crate) fn fill_bounds(
     samples: usize,
     splits: &[usize],
 ) -> Result<(), SeriesError> {
-    ensure_levels(bounds, splits.len() + 1);
+    bounds.resize_with(splits.len() + 1, Vec::new);
     bounds[0].clear();
     bounds[0].extend([0, samples]);
     for (level, &m) in splits.iter().enumerate() {
@@ -457,171 +322,53 @@ pub(crate) fn fill_bounds(
 }
 
 /// One fused sweep over the demand samples filling every level's
-/// per-period integrals plus the leaf-period peaks. Each period's sum is
-/// accumulated left-to-right over exactly its own samples from `0.0` —
-/// bit-identical to [`TimeSeries::integral`] on the period's series —
-/// then scaled by the step, and each leaf peak is the left-to-right
-/// `fold(NEG_INFINITY, f64::max)` of [`TimeSeries::peak`], so one
-/// `O(samples · levels)` pass replaces the old per-level rescans without
-/// touching a single bit of the result. Upper-level period boundaries
-/// are a subset of the leaf boundaries (hierarchy bounds are nested), so
-/// boundary bookkeeping runs per leaf, not per sample.
-///
-/// This is the retained scalar kernel ([`KernelMode::Scalar`]); the
-/// default lane-parallel kernel is [`fill_level_sums_lanes`].
-pub(crate) fn fill_level_sums_scalar(
-    values: &[f64],
-    step: f64,
-    bounds: &[Vec<usize>],
-    q: &mut Vec<Vec<f64>>,
-    acc: &mut Vec<f64>,
-    next: &mut Vec<usize>,
-    leaf_peaks: &mut Vec<f64>,
-) {
-    ensure_levels(q, bounds.len());
-    let levels = bounds.len();
-    acc.clear();
-    acc.resize(levels, 0.0);
-    next.clear();
-    next.resize(levels, 1); // index into bounds[l] of the next boundary
-    for sums in q.iter_mut() {
-        sums.clear();
-    }
-    leaf_peaks.clear();
-    match levels {
-        // Monomorphize the hot depths: a fixed-width register file of
-        // accumulators lets the compiler unroll the per-sample adds
-        // into independent instructions with no bounds checks. Each
-        // slot receives exactly the same adds in the same order as the
-        // generic loop, so the sums are bit-identical.
-        1 => fused_sweep_scalar::<1>(values, step, bounds, q, next, leaf_peaks),
-        2 => fused_sweep_scalar::<2>(values, step, bounds, q, next, leaf_peaks),
-        3 => fused_sweep_scalar::<3>(values, step, bounds, q, next, leaf_peaks),
-        4 => fused_sweep_scalar::<4>(values, step, bounds, q, next, leaf_peaks),
-        5 => fused_sweep_scalar::<5>(values, step, bounds, q, next, leaf_peaks),
-        6 => fused_sweep_scalar::<6>(values, step, bounds, q, next, leaf_peaks),
-        7 => fused_sweep_scalar::<7>(values, step, bounds, q, next, leaf_peaks),
-        8 => fused_sweep_scalar::<8>(values, step, bounds, q, next, leaf_peaks),
-        _ => {
-            let leaf_bounds = bounds.last().expect("at least the root level");
-            for w in leaf_bounds.windows(2) {
-                let mut peak = f64::NEG_INFINITY;
-                for &v in &values[w[0]..w[1]] {
-                    for a in acc.iter_mut() {
-                        *a += v;
-                    }
-                    peak = f64::max(peak, v);
-                }
-                leaf_peaks.push(peak);
-                for level in 0..levels {
-                    if bounds[level][next[level]] == w[1] {
-                        q[level].push(acc[level] * step);
-                        acc[level] = 0.0;
-                        next[level] += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The scalar fused sweep monomorphized for an `L`-level hierarchy; see
-/// [`fill_level_sums_scalar`].
-fn fused_sweep_scalar<const L: usize>(
-    values: &[f64],
-    step: f64,
-    bounds: &[Vec<usize>],
-    q: &mut [Vec<f64>],
-    next: &mut [usize],
-    leaf_peaks: &mut Vec<f64>,
-) {
-    debug_assert_eq!(bounds.len(), L);
-    let mut file = [0.0f64; L];
-    let leaf_bounds = bounds.last().expect("at least the root level");
-    for w in leaf_bounds.windows(2) {
-        let mut peak = f64::NEG_INFINITY;
-        for &v in &values[w[0]..w[1]] {
-            for slot in file.iter_mut() {
-                *slot += v;
-            }
-            peak = f64::max(peak, v);
-        }
-        leaf_peaks.push(peak);
-        for level in 0..L {
-            if bounds[level][next[level]] == w[1] {
-                q[level].push(file[level] * step);
-                file[level] = 0.0;
-                next[level] += 1;
-            }
-        }
-    }
-}
-
-/// The lane-parallel sweep ([`KernelMode::Lane`]): fills the same
-/// per-level integrals and leaf peaks as [`fill_level_sums_scalar`],
-/// but under the canonical lane reduction with `K = CANONICAL_LANES`.
-/// Buffer roles match the scalar kernel's.
-pub(crate) fn fill_level_sums_lanes(
-    values: &[f64],
-    step: f64,
-    bounds: &[Vec<usize>],
-    q: &mut Vec<Vec<f64>>,
-    acc: &mut Vec<f64>,
-    next: &mut Vec<usize>,
-    leaf_peaks: &mut Vec<f64>,
-) {
-    ensure_levels(q, bounds.len());
-    let levels = bounds.len();
-    acc.clear();
-    acc.resize(levels, 0.0);
-    next.clear();
-    next.resize(levels, 1);
-    for sums in q.iter_mut() {
-        sums.clear();
-    }
-    leaf_peaks.clear();
-    lane_sweep::<CANONICAL_LANES>(values, step, bounds, q, acc, next, leaf_peaks);
-}
-
-/// The generic-`K` lane sweep behind [`fill_level_sums_lanes`] (the
-/// cascade always runs it at `K = CANONICAL_LANES`; tests and benches
-/// exercise other powers of two through [`crate::kernels`]).
+/// per-period integrals (`q[level]`, each `Σ value · step`) and every
+/// leaf period's peak, under the canonical lane reduction with `K`
+/// lanes (the cascade runs `K = CANONICAL_LANES`; tests and benches
+/// exercise other powers of two through [`crate::kernels`]). Buffers are
+/// resized and refilled; `acc` and `next` are per-level working state.
 ///
 /// The canonical reduction, per leaf period:
 ///
 /// 1. Lane `j` sums (and maxes) the leaf's samples at within-leaf
 ///    offsets `≡ j (mod K)` — a `chunks_exact(K)` loop of `K`
-///    independent adds per chunk, which is what breaks the serial FP
-///    dependency chain of the scalar kernel (the hot per-sample work
-///    drops from `levels` dependent adds to one add on a 4-way
-///    independent chain).
+///    independent adds per chunk, which breaks the serial FP dependency
+///    chain of a left-to-right fold.
 /// 2. The leaf's lane vector collapses to one *leaf sum* through the
 ///    fixed adjacent-pair tree of [`combine_lanes`].
 /// 3. Every level accumulates whole leaf sums left-to-right
 ///    (`levels` adds per **leaf**, not per sample), and a period
 ///    closing at this leaf boundary emits `acc · step`.
 ///
-/// The lane assignment (within-leaf offset mod `K`), the combine tree,
-/// and the leaf-sum accumulation order all depend only on the hierarchy
-/// shape — never on the demand values or on how the samples arrived —
-/// so the streaming engine ([`crate::incremental`]) reproduces these
-/// sums bit-for-bit by maintaining the same lanes sample-by-sample.
-/// Leaf peaks use the identical partition with `f64::max`
-/// ([`combine_lanes_max`]), which keeps them bit-identical to the
-/// scalar kernel's.
-pub(crate) fn lane_sweep<const K: usize>(
+/// The lane assignment, the combine tree, and the leaf-sum accumulation
+/// order all depend only on the hierarchy shape — never on the demand
+/// values or on how the samples arrived — so the streaming engine
+/// ([`crate::incremental`]) reproduces these sums bit-for-bit by
+/// maintaining the same lanes sample-by-sample. Leaf peaks use the
+/// identical partition with `f64::max` ([`combine_lanes_max`]), which
+/// keeps them bit-identical to a left-to-right scan.
+pub(crate) fn fill_level_sums_lanes<const K: usize>(
     values: &[f64],
     step: f64,
     bounds: &[Vec<usize>],
-    q: &mut [Vec<f64>],
-    acc: &mut [f64],
-    next: &mut [usize],
+    q: &mut Vec<Vec<f64>>,
+    acc: &mut Vec<f64>,
+    next: &mut Vec<usize>,
     leaf_peaks: &mut Vec<f64>,
 ) {
     let levels = bounds.len();
+    q.resize_with(levels, Vec::new);
+    for sums in q.iter_mut() {
+        sums.clear();
+    }
+    acc.clear();
+    acc.resize(levels, 0.0);
+    next.clear();
+    next.resize(levels, 1); // index into bounds[l] of the next boundary
+    leaf_peaks.clear();
     let leaf_bounds = bounds.last().expect("at least the root level");
     // The leaf level closes at every leaf boundary, so its period sum is
-    // just the leaf sum (`0.0 + leaf_sum` in the generic loop — the
+    // just the leaf sum (`0.0 + leaf_sum` in a generic level loop — the
     // chain never produces `-0.0`, so pushing `leaf_sum · step` directly
     // is bit-identical). Upper levels have nested bounds: every upper
     // boundary is also a boundary of the deepest upper level, so one
@@ -677,7 +424,8 @@ pub(crate) fn lane_sweep<const K: usize>(
 ///
 /// Panics — with the same message as
 /// [`peak_shapley`](crate::temporal::peak_shapley) — if a child peak is
-/// negative or non-finite.
+/// negative or non-finite. [`run_cascade`] rejects negative leaf peaks
+/// with [`SeriesError::NegativePeak`] before any split.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn split_parent(
     child_bounds: &[usize],
@@ -751,64 +499,20 @@ pub(crate) fn fill_intensity(
     }
 }
 
-/// The leaf-level [`fill_intensity`], fused with the carbon-prefix
-/// accumulation: the prefix needs one `acc += value · step` per sample
-/// in sample order, and the leaf fill already visits every sample in
-/// that order, so one pass writes both buffers instead of re-reading
-/// the finished leaf signal. The accumulation sequence is exactly the
-/// reference's, so the prefix is bit-identical. Shared with the
-/// streaming engine in [`crate::incremental`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fill_leaf_intensity_and_prefix(
-    bounds: &[usize],
-    q: &[f64],
-    carbon: &[f64],
-    intensity: &mut Vec<f64>,
-    prefix: &mut Vec<f64>,
-    samples: usize,
-    step: f64,
-    stranded: &mut f64,
-) {
-    intensity.resize(samples, 0.0);
-    prefix.resize(samples + 1, 0.0);
-    prefix[0] = 0.0;
-    let mut acc = 0.0;
-    for ((w, &qp), &cp) in bounds.windows(2).zip(q).zip(carbon) {
-        let value = if qp <= 0.0 {
-            *stranded += cp;
-            0.0
-        } else {
-            cp / qp
-        };
-        intensity[w[0]..w[1]].fill(value);
-        for slot in &mut prefix[w[0] + 1..w[1] + 1] {
-            acc += value * step;
-            *slot = acc;
-        }
-    }
-}
-
-/// The blocked prefix ([`KernelMode::Lane`]'s replacement for the
-/// serial chain of [`fill_leaf_intensity_and_prefix`]):
-/// `prefix[k] = Σ_{i<k} intensity[i] · step` under the canonical
-/// blocked reduction with `B = PREFIX_BLOCK`.
-pub(crate) fn fill_prefix_blocked(intensity: &[f64], step: f64, prefix: &mut Vec<f64>) {
-    fill_prefix_blocked_sized::<PREFIX_BLOCK>(intensity, step, prefix);
-}
-
-/// The generic-`B` blocked prefix behind [`fill_prefix_blocked`] (the
-/// cascade always runs it at `B = PREFIX_BLOCK`; tests and benches
+/// The blocked prefix `prefix[k] = Σ_{i<k} intensity[i] · step` under
+/// the canonical blocked reduction with block length `B` (the cascade
+/// and the streaming engine run `B = PREFIX_BLOCK`; tests and benches
 /// exercise other block lengths through [`crate::kernels`]).
 ///
 /// The canonical reduction:
 ///
 /// 1. **Local prefixes.** The signal is cut into blocks of exactly `B`
 ///    samples (plus a final partial block). Within each block the
-///    original serial chain runs unchanged — `acc += intensity[i] ·
-///    step` in index order from `0.0` — into a block-local buffer.
-///    Each block's chain is independent of every other block's, so with
-///    short blocks the machine overlaps consecutive chains and the
-///    kernel runs at FP throughput, not chain latency.
+///    serial chain runs unchanged — `acc += intensity[i] · step` in
+///    index order from `0.0` — into a block-local buffer. Each block's
+///    chain is independent of every other block's, so with short blocks
+///    the machine overlaps consecutive chains and the kernel runs at FP
+///    throughput, not chain latency.
 /// 2. **Carry.** Block totals accumulate left-to-right into a running
 ///    carry (`carry_b = ((T_0 + T_1) + T_2) + …`, where `T_b` is block
 ///    `b`'s local chain end), and every element of block `b` stores
@@ -820,10 +524,10 @@ pub(crate) fn fill_prefix_blocked(intensity: &[f64], step: f64, prefix: &mut Vec
 /// streaming engine reproduces it bit-for-bit. For `n <= B` there is a
 /// single block whose carry is `0.0`: the local chain never produces a
 /// `-0.0` (it starts at `+0.0`), so `local + 0.0` is bit-identical to
-/// the scalar chain. For `n > B` each element differs from the scalar
+/// the serial chain. For `n > B` each element differs from the serial
 /// prefix only by the one reassociation `local + carry`, giving the
 /// ≤ 1-ulp-per-element relative bound documented in DESIGN.md §8.
-pub(crate) fn fill_prefix_blocked_sized<const B: usize>(
+pub(crate) fn fill_prefix_blocked<const B: usize>(
     intensity: &[f64],
     step: f64,
     prefix: &mut Vec<f64>,
@@ -865,23 +569,17 @@ pub(crate) fn fill_prefix_blocked_sized<const B: usize>(
 }
 
 /// Runs the flat cascade for `splits` over `demand`, filling `scratch`.
-/// `threads > 1` fans each level's parents out over [`run_parallel`]
-/// with an in-order merge; the result is bit-identical at any thread
-/// count. `mode` selects the sweep/prefix kernels:
-/// [`KernelMode::Scalar`] is bit-identical to the per-period reference
-/// path, [`KernelMode::Lane`] to the streaming engine's canonical lane
-/// reduction.
 ///
 /// # Errors
 ///
 /// Returns [`SeriesError::OutOfRange`] if the hierarchy splits the
-/// series below one sample per period.
+/// series below one sample per period, and — when `splits` is
+/// non-empty — [`SeriesError::NegativePeak`] if some leaf period's peak
+/// is negative (the peak game is defined over non-negative demand).
 pub(crate) fn run_cascade(
     splits: &[usize],
     demand: &TimeSeries,
     total_carbon: f64,
-    threads: usize,
-    mode: KernelMode,
     scratch: &mut CascadeScratch,
 ) -> Result<(), SeriesError> {
     let samples = demand.len();
@@ -901,29 +599,23 @@ pub(crate) fn run_cascade(
         fill_bounds(&mut scratch.bounds, samples, splits)?;
         scratch.splits_cache.extend_from_slice(splits);
     }
-    match mode {
-        KernelMode::Scalar => fill_level_sums_scalar(
-            values,
-            step,
-            &scratch.bounds,
-            &mut scratch.q,
-            &mut scratch.level_acc,
-            &mut scratch.level_next,
-            &mut scratch.leaf_peaks,
-        ),
-        KernelMode::Lane => fill_level_sums_lanes(
-            values,
-            step,
-            &scratch.bounds,
-            &mut scratch.q,
-            &mut scratch.level_acc,
-            &mut scratch.level_next,
-            &mut scratch.leaf_peaks,
-        ),
+    fill_level_sums_lanes::<CANONICAL_LANES>(
+        values,
+        step,
+        &scratch.bounds,
+        &mut scratch.q,
+        &mut scratch.level_acc,
+        &mut scratch.level_next,
+        &mut scratch.leaf_peaks,
+    );
+    // Every period's peak is at least its leaves' peaks, so checking the
+    // leaves covers every level the split loop below consults.
+    if !splits.is_empty() && scratch.leaf_peaks.iter().any(|&p| p < 0.0) {
+        return Err(SeriesError::NegativePeak);
     }
     let levels = splits.len() + 1;
-    ensure_levels(&mut scratch.carbon, levels);
-    ensure_levels(&mut scratch.intensity, levels);
+    scratch.carbon.resize_with(levels, Vec::new);
+    scratch.intensity.resize_with(levels, Vec::new);
 
     // MaxTree: fold the leaf peaks bottom-up into intermediate-level
     // period peaks (the leaf level reads `leaf_peaks` directly, the
@@ -931,7 +623,7 @@ pub(crate) fn run_cascade(
     // left-to-right `f64::max` fold of its children's peaks, which is
     // bit-identical to folding its raw samples because `max` over
     // finite floats is associative and always returns an operand.
-    ensure_levels(&mut scratch.level_peaks, levels);
+    scratch.level_peaks.resize_with(levels, Vec::new);
     for peaks in scratch.level_peaks.iter_mut() {
         peaks.clear();
     }
@@ -950,44 +642,17 @@ pub(crate) fn run_cascade(
         );
     }
 
-    // Root level: all carbon on the single whole-series period. With no
-    // splits the root is the leaf, so the prefix rides along.
+    // Root level: all carbon on the single whole-series period.
     scratch.carbon[0].clear();
     scratch.carbon[0].push(total_carbon);
-    if levels == 1 {
-        match mode {
-            KernelMode::Scalar => fill_leaf_intensity_and_prefix(
-                &scratch.bounds[0],
-                &scratch.q[0],
-                &scratch.carbon[0],
-                &mut scratch.intensity[0],
-                &mut scratch.prefix,
-                samples,
-                step,
-                &mut scratch.stranded,
-            ),
-            KernelMode::Lane => {
-                fill_intensity(
-                    &scratch.bounds[0],
-                    &scratch.q[0],
-                    &scratch.carbon[0],
-                    &mut scratch.intensity[0],
-                    samples,
-                    &mut scratch.stranded,
-                );
-                fill_prefix_blocked(&scratch.intensity[0], step, &mut scratch.prefix);
-            }
-        }
-    } else {
-        fill_intensity(
-            &scratch.bounds[0],
-            &scratch.q[0],
-            &scratch.carbon[0],
-            &mut scratch.intensity[0],
-            samples,
-            &mut scratch.stranded,
-        );
-    }
+    fill_intensity(
+        &scratch.bounds[0],
+        &scratch.q[0],
+        &scratch.carbon[0],
+        &mut scratch.intensity[0],
+        samples,
+        &mut scratch.stranded,
+    );
 
     for (level, &m) in splits.iter().enumerate() {
         let parents = scratch.bounds[level].len() - 1;
@@ -1010,91 +675,35 @@ pub(crate) fn run_cascade(
         } else {
             &scratch.level_peaks[level + 1]
         };
-        if threads > 1 && parents > 1 {
-            // Parents are independent; fan them out and merge the child
-            // shares in strict parent order. Each worker computes with
-            // the same per-parent arithmetic as the serial loop, so the
-            // merge is bit-identical at any thread count.
-            let shares: Vec<ParentShares> = run_parallel(parents, threads, |p| {
-                let mut phi = Vec::with_capacity(m);
-                let mut order = Vec::with_capacity(m);
-                let mut weights = Vec::with_capacity(m);
-                let mut out = Vec::with_capacity(m);
-                split_parent(
-                    &child_bounds[p * m..(p + 1) * m + 1],
-                    &child_q[p * m..(p + 1) * m],
-                    &child_peaks[p * m..(p + 1) * m],
-                    parent_carbon[p],
-                    step,
-                    &mut phi,
-                    &mut order,
-                    &mut weights,
-                    &mut out,
-                );
-                out
-            });
-            for parent_shares in &shares {
-                child_carbon.extend_from_slice(parent_shares);
-            }
-        } else {
-            for p in 0..parents {
-                split_parent(
-                    &child_bounds[p * m..(p + 1) * m + 1],
-                    &child_q[p * m..(p + 1) * m],
-                    &child_peaks[p * m..(p + 1) * m],
-                    parent_carbon[p],
-                    step,
-                    &mut scratch.phi,
-                    &mut scratch.order,
-                    &mut scratch.weights,
-                    child_carbon,
-                );
-            }
+        for p in 0..parents {
+            split_parent(
+                &child_bounds[p * m..(p + 1) * m + 1],
+                &child_q[p * m..(p + 1) * m],
+                &child_peaks[p * m..(p + 1) * m],
+                parent_carbon[p],
+                step,
+                &mut scratch.phi,
+                &mut scratch.order,
+                &mut scratch.weights,
+                child_carbon,
+            );
         }
 
         let mut level_stranded = 0.0;
-        if level + 2 == levels {
-            match mode {
-                // Finest level, scalar: fuse the O(1)-billing-query
-                // prefix into the same pass.
-                KernelMode::Scalar => fill_leaf_intensity_and_prefix(
-                    &scratch.bounds[level + 1],
-                    child_q,
-                    child_carbon,
-                    &mut scratch.intensity[level + 1],
-                    &mut scratch.prefix,
-                    samples,
-                    step,
-                    &mut level_stranded,
-                ),
-                // Finest level, lane: fill the leaf signal, then run
-                // the blocked prefix over it (the second read is hot in
-                // cache, and the blocked chain is ~3× faster than the
-                // fused serial one).
-                KernelMode::Lane => {
-                    fill_intensity(
-                        &scratch.bounds[level + 1],
-                        child_q,
-                        child_carbon,
-                        &mut scratch.intensity[level + 1],
-                        samples,
-                        &mut level_stranded,
-                    );
-                    fill_prefix_blocked(&scratch.intensity[level + 1], step, &mut scratch.prefix);
-                }
-            }
-        } else {
-            fill_intensity(
-                &scratch.bounds[level + 1],
-                child_q,
-                child_carbon,
-                &mut scratch.intensity[level + 1],
-                samples,
-                &mut level_stranded,
-            );
-        }
+        fill_intensity(
+            child_bounds,
+            child_q,
+            child_carbon,
+            &mut scratch.intensity[level + 1],
+            samples,
+            &mut level_stranded,
+        );
         scratch.stranded = level_stranded;
     }
+
+    // The O(1)-billing-query prefix over the finest level's signal.
+    let leaf = scratch.intensity.last().expect("at least the root level");
+    fill_prefix_blocked::<PREFIX_BLOCK>(leaf, step, &mut scratch.prefix);
     Ok(())
 }
 
@@ -1204,46 +813,7 @@ impl<'a> IntensityIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn range_max_matches_fold_on_every_window() {
-        let values: Vec<f64> = (0..37)
-            .map(|i| ((i * 7919 + 13) % 97) as f64 / 3.0)
-            .collect();
-        let mut table = RangeMax::new();
-        table.build(&values);
-        assert_eq!(table.len(), 37);
-        for lo in 0..values.len() {
-            for hi in lo + 1..=values.len() {
-                let fold = values[lo..hi]
-                    .iter()
-                    .copied()
-                    .fold(f64::NEG_INFINITY, f64::max);
-                assert_eq!(table.query(lo, hi).to_bits(), fold.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn range_max_rebuild_reuses_buffers() {
-        let mut table = RangeMax::new();
-        table.build(&[1.0, 5.0, 2.0, 4.0]);
-        assert_eq!(table.query(0, 4), 5.0);
-        table.build(&[3.0, 1.0, 7.0, 0.0]);
-        assert_eq!(table.query(0, 4), 7.0);
-        assert_eq!(table.query(3, 4), 0.0);
-        table.build(&[2.0]);
-        assert_eq!(table.len(), 1);
-        assert_eq!(table.query(0, 1), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn range_max_rejects_empty_ranges() {
-        let mut table = RangeMax::new();
-        table.build(&[1.0, 2.0]);
-        let _ = table.query(1, 1);
-    }
+    use crate::kernels::level_sums_scalar;
 
     #[test]
     fn bounds_follow_the_split_remainder_rule() {
@@ -1261,17 +831,8 @@ mod tests {
         let mut bounds = Vec::new();
         fill_bounds(&mut bounds, 23, &[2, 3]).unwrap();
         let mut q = Vec::new();
-        let (mut acc, mut next) = (Vec::new(), Vec::new());
         let mut leaf_peaks = Vec::new();
-        fill_level_sums_scalar(
-            &values,
-            300.0,
-            &bounds,
-            &mut q,
-            &mut acc,
-            &mut next,
-            &mut leaf_peaks,
-        );
+        level_sums_scalar(&values, 300.0, &bounds, &mut q, &mut leaf_peaks);
         assert_eq!(q[0][0].to_bits(), series.integral().to_bits());
         for (level, level_bounds) in bounds.iter().enumerate() {
             for (p, w) in level_bounds.windows(2).enumerate() {
@@ -1283,20 +844,21 @@ mod tests {
                 );
             }
         }
-        // Leaf peaks equal the per-leaf TimeSeries::peak fold, and a
-        // range-max over them reproduces any upper period's peak.
+        // Leaf peaks equal the per-leaf TimeSeries::peak fold, and the
+        // MaxTree fold over them reproduces any upper period's peak.
         let leaf_bounds = bounds.last().unwrap();
         assert_eq!(leaf_peaks.len(), leaf_bounds.len() - 1);
         for (p, w) in leaf_bounds.windows(2).enumerate() {
             let part = TimeSeries::from_values(0, 300, values[w[0]..w[1]].to_vec()).unwrap();
             assert_eq!(leaf_peaks[p].to_bits(), part.peak().to_bits(), "leaf {p}");
         }
-        let mut table = RangeMax::new();
-        table.build(&leaf_peaks);
         // Level-1 period 0 spans leaves 0..3 (leaf_span = 3).
+        let folded = leaf_peaks[..3]
+            .iter()
+            .fold(f64::NEG_INFINITY, |a, &b| f64::max(a, b));
         let level1 =
             TimeSeries::from_values(0, 300, values[bounds[1][0]..bounds[1][1]].to_vec()).unwrap();
-        assert_eq!(table.query(0, 3).to_bits(), level1.peak().to_bits());
+        assert_eq!(folded.to_bits(), level1.peak().to_bits());
     }
 
     #[test]
@@ -1327,16 +889,8 @@ mod tests {
         let (mut q_s, mut q_l) = (Vec::new(), Vec::new());
         let (mut acc, mut next) = (Vec::new(), Vec::new());
         let (mut peaks_s, mut peaks_l) = (Vec::new(), Vec::new());
-        fill_level_sums_scalar(
-            &values,
-            300.0,
-            &bounds,
-            &mut q_s,
-            &mut acc,
-            &mut next,
-            &mut peaks_s,
-        );
-        fill_level_sums_lanes(
+        level_sums_scalar(&values, 300.0, &bounds, &mut q_s, &mut peaks_s);
+        fill_level_sums_lanes::<CANONICAL_LANES>(
             &values,
             300.0,
             &bounds,
@@ -1370,7 +924,8 @@ mod tests {
             scalar[i + 1] = acc;
         }
         let mut blocked = Vec::new();
-        fill_prefix_blocked(&intensity, 300.0, &mut blocked); // 1000 <= PREFIX_BLOCK
+        // Dyadic values: every carry reassociation is exact as well.
+        fill_prefix_blocked::<PREFIX_BLOCK>(&intensity, 300.0, &mut blocked);
         assert_eq!(blocked.len(), scalar.len());
         for (a, b) in blocked.iter().zip(&scalar) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1391,7 +946,7 @@ mod tests {
             scalar[i + 1] = acc;
         }
         let mut blocked = Vec::new();
-        fill_prefix_blocked_sized::<4>(&intensity, 2.0, &mut blocked);
+        fill_prefix_blocked::<4>(&intensity, 2.0, &mut blocked);
         assert_eq!(blocked.len(), scalar.len());
         for (i, (a, b)) in blocked.iter().zip(&scalar).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "index {i}");

@@ -17,43 +17,37 @@
 //! period bounds are known up front. That makes every per-sample update
 //! O(1) with an O(levels) burst at each leaf boundary:
 //!
-//! * **Integrals** — the engine maintains the frozen engine's *canonical
-//!   lane reduction* ([`crate::cascade::KernelMode::Lane`]): each sample
+//! * **Integrals** — the engine maintains the frozen cascade's
+//!   *canonical lane reduction* (see [`crate::cascade`]): each sample
 //!   lands in lane `in_leaf mod CANONICAL_LANES` of the open leaf's lane
 //!   vector (one add); when the leaf closes, the lanes collapse through
 //!   the fixed pair tree of [`combine_lanes`] and every level
 //!   accumulates the whole leaf sum. Lane assignment, combine order, and
 //!   leaf-sum order are all functions of the hierarchy shape alone, so
-//!   the per-period sums match the frozen lane sweep bit for bit.
+//!   the per-period sums match the frozen sweep bit for bit.
 //! * **Peaks** — a lane-partitioned running peak folds each sample with
 //!   [`f64::max`] and collapses through [`combine_lanes_max`] at leaf
 //!   close (bit-identical to any fold order — `max` is associative and
 //!   operand-selecting); the closed leaf peak is then folded up the open
-//!   parent periods (the *MaxTree tail repair*) exactly as before.
+//!   parent periods (the *MaxTree tail repair*).
 //! * **Window close** — the top-down carbon split reuses
 //!   [`split_parent`](crate::cascade), and the leaf signal and billing
 //!   prefix come from [`fill_intensity`](crate::cascade) plus the
 //!   blocked two-level prefix
-//!   ([`fill_prefix_blocked`](crate::cascade)) — the frozen lane
-//!   engine's own kernels, over the maintained sums and peaks; no
-//!   sample is rescanned.
+//!   ([`fill_prefix_blocked`](crate::cascade)) — the frozen cascade's
+//!   own kernels, over the maintained sums and peaks; no sample is
+//!   rescanned.
 //!
-//! # Re-derivation of the streaming bit-identity (lane canonical)
+//! # Why the streaming sums are bit-identical
 //!
-//! The original engine replayed the scalar fused sweep's adds literally
-//! (`levels` adds per sample). Under the lane overhaul the frozen
-//! cascade no longer performs those adds; its canonical is: *leaf lane
-//! sums by within-leaf offset mod `CANONICAL_LANES`, pair-tree combine,
-//! then per-level left-to-right leaf-sum accumulation*. Every term in
-//! that reduction is keyed by (leaf index, within-leaf offset) — both
-//! known exactly to the streaming engine from `filled` alone — so
-//! maintaining the same lanes sample-by-sample reproduces the identical
-//! float operations in the identical order, and the
-//! frozen-vs-streaming proptests in `tests/incremental.rs` still pin
-//! the outputs bit for bit. The per-push cost changes shape: a plain
-//! push is 2 ops (one lane add, one lane max) instead of
-//! `levels + 1`, and each leaf boundary pays the `O(levels + K)`
-//! collapse burst; the ops-counter tests re-pin those constants.
+//! Every term of the canonical reduction is keyed by (leaf index,
+//! within-leaf offset), and both are known exactly to the streaming
+//! engine from `filled` alone. Maintaining the same lanes
+//! sample-by-sample therefore reproduces the identical float operations
+//! in the identical order, and the frozen-vs-streaming proptests in
+//! `tests/incremental.rs` pin the outputs bit for bit. A plain push is
+//! 2 ops (one lane add, one lane max); each leaf boundary pays the
+//! `O(levels + K)` collapse burst.
 //!
 //! The [`IncrementalCascade::ops`] counter pins the complexity: every
 //! primitive float operation (add, max, divide) is counted, and the
@@ -66,7 +60,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cascade::{
     combine_lanes, combine_lanes_max, fill_bounds, fill_intensity, fill_prefix_blocked,
-    split_parent, CANONICAL_LANES,
+    split_parent, CANONICAL_LANES, PREFIX_BLOCK,
 };
 
 /// One closed attribution window's finalized outputs: everything a
@@ -385,7 +379,7 @@ impl IncrementalCascade {
             self.window_samples,
             &mut stranded,
         );
-        fill_prefix_blocked(&leaf_intensity, step, &mut carbon_prefix);
+        fill_prefix_blocked::<PREFIX_BLOCK>(&leaf_intensity, step, &mut carbon_prefix);
         // Leaf fill ≈ one divide per leaf period amortized over its
         // samples, blocked prefix ≈ one multiply + one add per sample
         // plus the carry pass: count 3 ops per sample.

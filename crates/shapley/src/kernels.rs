@@ -1,4 +1,5 @@
-//! Public entry points for the lane-parallel inner-loop kernels.
+//! Public entry points for the cascade's inner-loop kernels and their
+//! scalar references.
 //!
 //! The cascade ([`crate::cascade`]) runs its kernels at the frozen
 //! canonical parameters — [`CANONICAL_LANES`] accumulator lanes and
@@ -10,6 +11,14 @@
 //! benches can pin the kernels' contracts at *other* parameters — the
 //! awkward lengths `0`, `1`, `K−1`, `K`, `K+1`, non-multiples of `K` —
 //! without touching the canonical paths.
+//!
+//! Next to them sit the two scalar references, [`level_sums_scalar`] and
+//! [`prefix_scalar`]: plain left-to-right folds with the accumulation
+//! order of the per-period reference
+//! ([`TemporalShapley::attribute_per_period`](crate::temporal::TemporalShapley::attribute_per_period)).
+//! No production path runs them; they exist to be pinned and timed
+//! against (`perf_report`'s kernels section reports them as the
+//! `scalar` column).
 //!
 //! Contracts (verified in `tests/kernel_lanes.rs`):
 //!
@@ -23,12 +32,10 @@
 //! * both lane kernels are *deterministic in the data length alone* —
 //!   lane assignment and combine order never depend on the values.
 
-use crate::cascade::{fill_bounds, fill_level_sums_scalar, fill_prefix_blocked_sized, lane_sweep};
+use crate::cascade::{fill_bounds, fill_level_sums_lanes, fill_prefix_blocked};
 use fairco2_trace::series::SeriesError;
 
-pub use crate::cascade::{
-    combine_lanes, combine_lanes_max, KernelMode, CANONICAL_LANES, PREFIX_BLOCK,
-};
+pub use crate::cascade::{combine_lanes, combine_lanes_max, CANONICAL_LANES, PREFIX_BLOCK};
 
 /// Derives every hierarchy level's period bounds for `samples` samples
 /// under `splits`, using the same "earlier chunks get the remainder"
@@ -45,11 +52,17 @@ pub fn hierarchy_bounds(samples: usize, splits: &[usize]) -> Result<Vec<Vec<usiz
     Ok(bounds)
 }
 
-/// The retained scalar fused sweep: per-period left-to-right sums and
-/// peaks, one serial dependency chain per level. `q[level]` receives
-/// each of the level's period integrals (`Σ value · step`), and
+/// The scalar reference sweep: per-period left-to-right sums and peaks
+/// in one pass over the samples, one serial dependency chain per level.
+/// Each period's sum is accumulated over exactly its own samples from
+/// `0.0` — bit-identical to `TimeSeries::integral` on the period's
+/// series — and each leaf peak is the left-to-right
+/// `fold(NEG_INFINITY, f64::max)` of `TimeSeries::peak`. `q[level]`
+/// receives each of the level's period integrals (`Σ value · step`), and
 /// `leaf_peaks` each leaf period's maximum. Buffers are cleared and
-/// refilled; `bounds` comes from [`hierarchy_bounds`].
+/// refilled; `bounds` comes from [`hierarchy_bounds`]. Upper-level
+/// boundaries are a subset of the leaf boundaries (hierarchy bounds are
+/// nested), so boundary bookkeeping runs per leaf, not per sample.
 pub fn level_sums_scalar(
     values: &[f64],
     step: f64,
@@ -57,9 +70,32 @@ pub fn level_sums_scalar(
     q: &mut Vec<Vec<f64>>,
     leaf_peaks: &mut Vec<f64>,
 ) {
-    let mut acc = Vec::new();
-    let mut next = Vec::new();
-    fill_level_sums_scalar(values, step, bounds, q, &mut acc, &mut next, leaf_peaks);
+    let levels = bounds.len();
+    q.resize_with(levels, Vec::new);
+    for sums in q.iter_mut() {
+        sums.clear();
+    }
+    leaf_peaks.clear();
+    let mut acc = vec![0.0f64; levels];
+    let mut next = vec![1usize; levels]; // index into bounds[l] of the next boundary
+    let leaf_bounds = bounds.last().expect("at least the root level");
+    for w in leaf_bounds.windows(2) {
+        let mut peak = f64::NEG_INFINITY;
+        for &v in &values[w[0]..w[1]] {
+            for a in acc.iter_mut() {
+                *a += v;
+            }
+            peak = f64::max(peak, v);
+        }
+        leaf_peaks.push(peak);
+        for level in 0..levels {
+            if bounds[level][next[level]] == w[1] {
+                q[level].push(acc[level] * step);
+                acc[level] = 0.0;
+                next[level] += 1;
+            }
+        }
+    }
 }
 
 /// The lane-parallel sweep at an arbitrary power-of-two lane count `K`:
@@ -67,8 +103,7 @@ pub fn level_sums_scalar(
 /// offsets `≡ j (mod K)`, the lane vector collapses through
 /// [`combine_lanes`] / [`combine_lanes_max`], and every level
 /// accumulates whole leaf sums left-to-right. At
-/// `K = `[`CANONICAL_LANES`] this is exactly the cascade's default
-/// kernel.
+/// `K = `[`CANONICAL_LANES`] this is exactly the cascade's kernel.
 ///
 /// # Panics
 ///
@@ -80,23 +115,14 @@ pub fn level_sums_lanes<const K: usize>(
     q: &mut Vec<Vec<f64>>,
     leaf_peaks: &mut Vec<f64>,
 ) {
-    let levels = bounds.len();
-    while q.len() < levels {
-        q.push(Vec::new());
-    }
-    for sums in q.iter_mut() {
-        sums.clear();
-    }
-    leaf_peaks.clear();
-    let mut acc = vec![0.0f64; levels];
-    let mut next = vec![1usize; levels];
-    lane_sweep::<K>(values, step, bounds, q, &mut acc, &mut next, leaf_peaks);
+    let (mut acc, mut next) = (Vec::new(), Vec::new());
+    fill_level_sums_lanes::<K>(values, step, bounds, q, &mut acc, &mut next, leaf_peaks);
 }
 
-/// The retained scalar prefix: one serial chain
+/// The scalar reference prefix: one serial chain
 /// `prefix[k] = prefix[k−1] + intensity[k−1] · step` over the whole
-/// signal, `prefix[0] = 0`. This is the accumulation order of the fused
-/// leaf fill the cascade's scalar mode uses.
+/// signal, `prefix[0] = 0`. This is the accumulation order of the
+/// per-period reference's carbon prefix.
 pub fn prefix_scalar(intensity: &[f64], step: f64, prefix: &mut Vec<f64>) {
     if prefix.len() != intensity.len() + 1 {
         prefix.clear();
@@ -116,11 +142,11 @@ pub fn prefix_scalar(intensity: &[f64], step: f64, prefix: &mut Vec<f64>) {
 /// single pass over the signal. Bit-identical to [`prefix_scalar`] when
 /// `intensity.len() ≤ B`; one `local + carry` reassociation per element
 /// beyond that. At `B = `[`PREFIX_BLOCK`] this is exactly the cascade's
-/// default kernel.
+/// kernel.
 ///
 /// # Panics
 ///
 /// Panics if `B == 0`.
 pub fn prefix_blocked<const B: usize>(intensity: &[f64], step: f64, prefix: &mut Vec<f64>) {
-    fill_prefix_blocked_sized::<B>(intensity, step, prefix);
+    fill_prefix_blocked::<B>(intensity, step, prefix);
 }

@@ -37,8 +37,8 @@
 //!   level decomposition of `max`), hierarchical splitting, and the
 //!   dynamic embodied-carbon-intensity signal (Eq. 5).
 //! * [`cascade`] — the flat, zero-copy engine behind the temporal
-//!   hierarchy: index-range periods over one shared demand buffer,
-//!   sparse-table range-max peaks, a reusable
+//!   hierarchy: index-range periods over one shared demand buffer, one
+//!   fused lane-parallel sweep for integrals and peaks, a reusable
 //!   [`cascade::CascadeScratch`] for allocation-free repeats, and the
 //!   [`cascade::IntensityIndex`] answering batched billing queries.
 //! * [`incremental`] — the streaming engine behind the always-on
@@ -87,8 +87,8 @@ pub mod unit_time;
 
 pub use axioms::{AxiomAudit, AxiomCheck};
 pub use cache::{CachedGame, CoalitionCache};
-pub use cascade::{combine_lanes, combine_lanes_max, KernelMode, CANONICAL_LANES, PREFIX_BLOCK};
-pub use cascade::{BillingQuery, CascadeScratch, IntensityIndex, RangeMax};
+pub use cascade::{combine_lanes, combine_lanes_max, CANONICAL_LANES, PREFIX_BLOCK};
+pub use cascade::{BillingQuery, CascadeScratch, IntensityIndex};
 pub use coalition::Coalition;
 pub use exact::{
     exact_shapley, exact_shapley_fast_with_scratch, parallel_exact_shapley, ExactScratch,

@@ -29,25 +29,26 @@
 //! — exact, `O(n log n)`, and identical to enumerating Eq. 1 (property
 //! tests in this module verify that).
 //!
-//! # The flat cascade
+//! # One production path, one reference
 //!
 //! [`TemporalShapley::attribute`] runs the hierarchy through the
 //! zero-copy engine in [`crate::cascade`]: periods are index ranges over
-//! the one shared demand buffer, peaks come from a sparse-table range
-//! max, integrals from a fused per-level sweep, and every buffer lives
-//! in a reusable [`CascadeScratch`]. The original per-period pipeline is
-//! retained verbatim as [`TemporalShapley::attribute_per_period`]; the
-//! flat engine's scalar kernels ([`TemporalShapley::attribute_scalar`])
-//! are pinned **bit-for-bit** against it, and the default lane-parallel
-//! kernels ([`crate::cascade::KernelMode::Lane`]) closeness-pinned
-//! against the scalar ones (and bit-pinned against themselves across
-//! thread counts) by property tests in `tests/temporal_cascade.rs`.
-
-use serde::{Deserialize, Serialize};
+//! the one shared demand buffer, integrals and leaf peaks come from one
+//! fused lane-parallel sweep, intermediate peaks from a bottom-up
+//! MaxTree fold, and every buffer lives in a reusable
+//! [`CascadeScratch`] ([`TemporalShapley::attribute_with_scratch`]).
+//!
+//! The original per-period pipeline is kept as the single reference,
+//! [`TemporalShapley::attribute_per_period`]. The cascade reassociates
+//! its sums (the canonical lane reduction), so property tests in
+//! `tests/temporal_cascade.rs` pin it against the reference to a
+//! documented 1e-9 relative bound, with shapes, zero-demand decisions
+//! and work counters exact; `perf_report` asserts the same bound at
+//! fleet scale.
 
 use fairco2_trace::series::{SeriesError, TimeSeries};
 
-use crate::cascade::{run_cascade, BillingQuery, CascadeScratch, IntensityIndex, KernelMode};
+use crate::cascade::{run_cascade, BillingQuery, CascadeScratch, IntensityIndex};
 use crate::exact::exact_shapley;
 use crate::game::PeakDemandGame;
 
@@ -101,7 +102,7 @@ pub fn peak_shapley_into(peaks: &[f64], order: &mut Vec<usize>, phi: &mut Vec<f6
 
 /// Configuration of the hierarchical attribution: how many children each
 /// level splits into (the paper's example uses `[10, 9, 8, 12]`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TemporalShapley {
     splits: Vec<usize>,
 }
@@ -280,83 +281,24 @@ impl TemporalShapley {
     ///
     /// # Errors
     ///
-    /// Returns the underlying [`SeriesError`] if the hierarchy splits the
-    /// series below one sample per period.
+    /// Returns [`SeriesError::OutOfRange`] if the hierarchy splits the
+    /// series below one sample per period, and
+    /// [`SeriesError::NegativePeak`] if the hierarchy has at least one
+    /// split and some leaf period's peak demand is negative.
     pub fn attribute(
         &self,
         demand: &TimeSeries,
         total_carbon: f64,
     ) -> Result<TemporalAttribution, SeriesError> {
         let mut scratch = CascadeScratch::new();
-        run_cascade(
-            &self.splits,
-            demand,
-            total_carbon,
-            1,
-            KernelMode::Lane,
-            &mut scratch,
-        )?;
-        Ok(scratch.into_attribution())
-    }
-
-    /// [`TemporalShapley::attribute`] through the retained scalar
-    /// kernels ([`KernelMode::Scalar`]): per-period left-to-right sums
-    /// and the serial prefix chain, bit-identical to
-    /// [`TemporalShapley::attribute_per_period`]. This is the
-    /// equality/closeness pin for the default lane-parallel path — use
-    /// [`TemporalShapley::attribute`] everywhere else.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TemporalShapley::attribute`].
-    pub fn attribute_scalar(
-        &self,
-        demand: &TimeSeries,
-        total_carbon: f64,
-    ) -> Result<TemporalAttribution, SeriesError> {
-        let mut scratch = CascadeScratch::new();
-        run_cascade(
-            &self.splits,
-            demand,
-            total_carbon,
-            1,
-            KernelMode::Scalar,
-            &mut scratch,
-        )?;
-        Ok(scratch.into_attribution())
-    }
-
-    /// [`TemporalShapley::attribute`] with the per-level Shapley splits
-    /// fanned out over `threads` workers (parents within a level are
-    /// independent). The in-order merge makes the result **bit-identical**
-    /// to the serial path at any thread count; `threads == 0` clamps to 1.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TemporalShapley::attribute`].
-    pub fn attribute_parallel(
-        &self,
-        demand: &TimeSeries,
-        total_carbon: f64,
-        threads: usize,
-    ) -> Result<TemporalAttribution, SeriesError> {
-        let mut scratch = CascadeScratch::new();
-        run_cascade(
-            &self.splits,
-            demand,
-            total_carbon,
-            threads,
-            KernelMode::Lane,
-            &mut scratch,
-        )?;
+        run_cascade(&self.splits, demand, total_carbon, &mut scratch)?;
         Ok(scratch.into_attribution())
     }
 
     /// Runs the flat cascade into a caller-owned [`CascadeScratch`],
     /// reusing every buffer from the previous run — a repeated call on
-    /// same-shaped inputs performs **no heap allocation** (with
-    /// `threads <= 1`; the parallel path allocates small per-parent
-    /// buffers). Read the results through the scratch accessors
+    /// same-shaped inputs performs **no heap allocation**. Read the
+    /// results through the scratch accessors
     /// ([`CascadeScratch::leaf_intensity`],
     /// [`CascadeScratch::carbon_prefix`], …) or materialize a
     /// [`TemporalAttribution`] via [`CascadeScratch::to_attribution`].
@@ -369,56 +311,23 @@ impl TemporalShapley {
         &self,
         demand: &TimeSeries,
         total_carbon: f64,
-        threads: usize,
         scratch: &mut CascadeScratch,
     ) -> Result<(), SeriesError> {
-        run_cascade(
-            &self.splits,
-            demand,
-            total_carbon,
-            threads,
-            KernelMode::Lane,
-            scratch,
-        )
+        run_cascade(&self.splits, demand, total_carbon, scratch)
     }
 
-    /// [`TemporalShapley::attribute_with_scratch`] through the retained
-    /// scalar kernels; see [`TemporalShapley::attribute_scalar`].
+    /// The original per-period pipeline, kept as the reference
+    /// implementation: it clones the demand into owned [`TimeSeries`] at
+    /// every level and rescans each period for its peak and integral.
+    /// [`TemporalShapley::attribute`] is pinned against this path by the
+    /// property tests in `tests/temporal_cascade.rs` and by
+    /// `perf_report`; keep using [`TemporalShapley::attribute`]
+    /// everywhere else.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`TemporalShapley::attribute_with_scratch`].
-    pub fn attribute_scalar_with_scratch(
-        &self,
-        demand: &TimeSeries,
-        total_carbon: f64,
-        threads: usize,
-        scratch: &mut CascadeScratch,
-    ) -> Result<(), SeriesError> {
-        run_cascade(
-            &self.splits,
-            demand,
-            total_carbon,
-            threads,
-            KernelMode::Scalar,
-            scratch,
-        )
-    }
-
-    /// The original per-period pipeline, retained verbatim as the
-    /// reference implementation: it clones the demand into owned
-    /// [`TimeSeries`] at every level and rescans each period for its peak
-    /// and integral. The scalar flat cascade
-    /// ([`TemporalShapley::attribute_scalar`]) is equality-pinned
-    /// bit-for-bit against this path by the property tests in
-    /// `tests/temporal_cascade.rs` and by `perf_report`, and the default
-    /// lane path closeness-pinned against *that*; keep using
-    /// [`TemporalShapley::attribute`] everywhere else.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`SeriesError`] if the hierarchy splits the
-    /// series below one sample per period.
+    /// Same conditions as [`TemporalShapley::attribute`]; an oversplit
+    /// level is reported before a negative peak, as in the cascade.
     pub fn attribute_per_period(
         &self,
         demand: &TimeSeries,
@@ -430,6 +339,7 @@ impl TemporalShapley {
         let mut naive = 0.0f64;
         let mut ops = 0u64;
         let mut stranded = 0.0f64;
+        let mut negative_peak = false;
 
         level_intensity.push(intensity_signal(demand, &carbon_per_period, &mut stranded));
 
@@ -438,6 +348,13 @@ impl TemporalShapley {
             for (period, carbon) in &carbon_per_period {
                 let parts = period.split(m)?;
                 let peaks: Vec<f64> = parts.iter().map(TimeSeries::peak).collect();
+                negative_peak |= peaks.iter().any(|&p| p < 0.0);
+                if negative_peak {
+                    // Keep splitting so a deeper oversplit level still
+                    // reports `OutOfRange` first.
+                    next.extend(parts.into_iter().map(|part| (part, 0.0)));
+                    continue;
+                }
                 let phi = peak_shapley(&peaks);
                 ops += (m * m.ilog2().max(1) as usize) as u64;
                 naive += (m as f64) * 2f64.powi(m as i32);
@@ -455,6 +372,9 @@ impl TemporalShapley {
                 &mut level_stranded,
             ));
             stranded = level_stranded;
+        }
+        if negative_peak {
+            return Err(SeriesError::NegativePeak);
         }
 
         let carbon_prefix = {

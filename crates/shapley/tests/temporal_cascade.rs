@@ -1,23 +1,23 @@
-//! Equality pins for the flat Temporal Shapley cascade:
+//! Pins for the flat Temporal Shapley cascade against the per-period
+//! reference:
 //!
-//! * the scalar flat engine ([`TemporalShapley::attribute_scalar`]) is
-//!   **bit-identical** to the retained per-period reference
-//!   ([`TemporalShapley::attribute_per_period`]) on random series and
-//!   hierarchies — including zero-demand stranding and the
-//!   φ·q → q → duration weight fallbacks;
-//! * the default lane-parallel engine ([`TemporalShapley::attribute`])
-//!   matches the scalar one to a documented ulp-accumulation bound
-//!   (its sums are *reassociated*, not reordered per element; zero/sign
-//!   decisions — stranding, weight fallbacks — and the work counters
-//!   stay exact);
-//! * [`TemporalShapley::attribute_parallel`] is bit-identical to the
-//!   serial lane path at 1, 2, and 8 threads;
-//! * a reused [`CascadeScratch`] reproduces fresh results exactly;
+//! * the cascade ([`TemporalShapley::attribute`]) matches the per-period
+//!   reference ([`TemporalShapley::attribute_per_period`]) to a
+//!   documented ulp-accumulation bound on random series and hierarchies
+//!   (its sums are *reassociated* by the canonical lane reduction; shapes,
+//!   zero/sign decisions — stranding, weight fallbacks — and the work
+//!   counters stay exact);
+//! * crafted exact-arithmetic vectors drive the φ·q → q → duration weight
+//!   fallbacks and match the reference bit for bit;
+//! * a reused [`CascadeScratch`] reproduces fresh results exactly, also
+//!   when the hierarchy changes at the same sample count;
+//! * both paths report the same typed errors;
 //! * [`TemporalAttribution::workload_carbon_batch`] matches per-call
 //!   [`TemporalAttribution::workload_carbon`] bit-for-bit.
 
 use fairco2_shapley::cascade::{BillingQuery, CascadeScratch};
 use fairco2_shapley::temporal::{TemporalAttribution, TemporalShapley};
+use fairco2_trace::series::SeriesError;
 use fairco2_trace::TimeSeries;
 use proptest::prelude::*;
 
@@ -69,9 +69,9 @@ fn assert_bits_eq(label: &str, a: &TemporalAttribution, b: &TemporalAttribution)
 
 /// Asserts two attributions agree to a relative tolerance per element,
 /// with the *discrete* observables (shapes, counters, and exact-zero
-/// stranding decisions) still exact. Used to pin the lane engine
-/// against the scalar one: each lane sum differs from the scalar fold
-/// only by reassociation, so the per-element error is bounded by
+/// stranding decisions) still exact. Used to pin the cascade against
+/// the per-period reference: each lane sum differs from the reference's
+/// left-to-right fold only by reassociation, so the per-element error is bounded by
 /// `O(n · ε)` relative — `n ≤ 8641` samples and `ε = 2⁻⁵²` put the true
 /// bound near `2e-12`; `1e-9` leaves three orders of slack without
 /// masking real bugs.
@@ -153,40 +153,42 @@ proptest! {
         let series = masked_series(&raw[..len], &mask[..len], start, 300);
         let h = TemporalShapley::new(splits);
         let reference = h.attribute_per_period(&series, carbon).unwrap();
-        let scalar = h.attribute_scalar(&series, carbon).unwrap();
-        assert_bits_eq("scalar flat vs reference", &reference, &scalar);
-        let lane = h.attribute(&series, carbon).unwrap();
-        assert_close("lane vs scalar", &scalar, &lane, 1e-9);
-        for threads in [2usize, 8] {
-            let parallel = h.attribute_parallel(&series, carbon, threads).unwrap();
-            assert_bits_eq("parallel vs serial lane", &lane, &parallel);
-        }
+        let flat = h.attribute(&series, carbon).unwrap();
+        assert_close("flat vs reference", &reference, &flat, 1e-9);
     }
 
     #[test]
     fn reused_scratch_reproduces_fresh_results(
         first_len in 24usize..=96,
         second_len in 24usize..=96,
+        same_len in 0u8..=1,
+        second_pick in 0usize..5,
         raw in prop::collection::vec(0.0f64..50.0, 96),
         mask in prop::collection::vec(0u8..=3, 96),
         carbon in 0.0f64..5_000.0,
     ) {
-        // Two differently-shaped attributions through one scratch: the
-        // second must match a fresh run bit-for-bit (no state leaks).
+        // Two attributions through one scratch, the second with its own
+        // length and hierarchy — or the first run's length, so the
+        // bounds cached on (samples, splits) must be re-derived exactly
+        // when the splits change. The second run must match a fresh run
+        // bit-for-bit (no state leaks).
+        let second_splits: [&[usize]; 5] = [&[3, 2], &[2, 3], &[4], &[2, 2, 2], &[]];
         let h = TemporalShapley::new(vec![3, 2]);
+        let h2 = TemporalShapley::new(second_splits[second_pick].to_vec());
+        let second_len = if same_len == 1 { first_len } else { second_len };
         let a = masked_series(&raw[..first_len], &mask[..first_len], 0, 300);
         let b = masked_series(&raw[..second_len], &mask[..second_len], 900, 60);
         let mut scratch = CascadeScratch::new();
-        h.attribute_with_scratch(&a, carbon, 1, &mut scratch).unwrap();
+        h.attribute_with_scratch(&a, carbon, &mut scratch).unwrap();
         assert_bits_eq(
             "scratch first run",
             &h.attribute(&a, carbon).unwrap(),
             &scratch.to_attribution(),
         );
-        h.attribute_with_scratch(&b, carbon * 0.5, 1, &mut scratch).unwrap();
+        h2.attribute_with_scratch(&b, carbon * 0.5, &mut scratch).unwrap();
         assert_bits_eq(
             "scratch after reuse",
-            &h.attribute(&b, carbon * 0.5).unwrap(),
+            &h2.attribute(&b, carbon * 0.5).unwrap(),
             &scratch.to_attribution(),
         );
     }
@@ -248,11 +250,9 @@ fn duration_fallback_is_bit_identical_on_idle_series() {
 }
 
 /// Uneven splits (remainder-bearing periods) on the paper hierarchy:
-/// the scalar flat path matches the reference bit for bit, the lane
-/// path matches the scalar one to the ulp bound, and 1/2/8-thread lane
-/// runs agree with the serial lane path bit for bit.
+/// the cascade matches the reference to the ulp bound.
 #[test]
-fn paper_hierarchy_is_thread_invariant() {
+fn paper_hierarchy_matches_the_reference() {
     let series = TimeSeries::from_fn(0, 300, 8641, |t| {
         let x = t as f64 / 300.0;
         40.0 + 25.0 * (x / 288.0 * std::f64::consts::PI).sin().abs() + (x % 13.0)
@@ -260,24 +260,43 @@ fn paper_hierarchy_is_thread_invariant() {
     .unwrap();
     let h = TemporalShapley::paper_hierarchy();
     let reference = h.attribute_per_period(&series, 12_000.0).unwrap();
-    let scalar = h.attribute_scalar(&series, 12_000.0).unwrap();
-    assert_bits_eq("paper hierarchy scalar", &reference, &scalar);
-    let lane = h.attribute(&series, 12_000.0).unwrap();
-    assert_close("paper hierarchy lane", &scalar, &lane, 1e-9);
-    for threads in [1usize, 2, 8] {
-        let parallel = h.attribute_parallel(&series, 12_000.0, threads).unwrap();
-        assert_bits_eq("paper hierarchy threads", &lane, &parallel);
-    }
+    let flat = h.attribute(&series, 12_000.0).unwrap();
+    assert_close("paper hierarchy", &reference, &flat, 1e-9);
 }
 
 /// The flat path reports the same error as the reference when a level
-/// would split a period below one sample.
+/// would split a period below one sample, when a leaf period's peak is
+/// negative, and when both hold (the oversplit wins on both paths).
 #[test]
 fn oversplit_errors_match_the_reference() {
-    let series = TimeSeries::constant(0, 300, 6, 1.0).unwrap();
-    let h = TemporalShapley::new(vec![4, 3]);
-    let reference = h.attribute_per_period(&series, 10.0);
-    let flat = h.attribute(&series, 10.0);
-    assert!(reference.is_err());
-    assert_eq!(reference.unwrap_err(), flat.unwrap_err());
+    let cases = [
+        (vec![1.0; 6], vec![4, 3], SeriesError::OutOfRange),
+        (
+            vec![-1.0, -2.0, 3.0, 4.0],
+            vec![2],
+            SeriesError::NegativePeak,
+        ),
+        (
+            vec![3.0, -1.0, -2.0, -4.0],
+            vec![2, 2],
+            SeriesError::NegativePeak,
+        ),
+        (vec![-1.0; 6], vec![4, 3], SeriesError::OutOfRange),
+    ];
+    for (values, splits, expected) in cases {
+        let series = TimeSeries::from_values(0, 300, values).unwrap();
+        let h = TemporalShapley::new(splits);
+        let reference = h.attribute_per_period(&series, 10.0);
+        let flat = h.attribute(&series, 10.0);
+        assert_eq!(reference.unwrap_err(), expected);
+        assert_eq!(flat.unwrap_err(), expected);
+    }
+    // Without a split no peak game is played: negative demand strands
+    // the whole budget on both paths instead of erroring.
+    let series = TimeSeries::from_values(0, 300, vec![-1.0, -2.0]).unwrap();
+    let h = TemporalShapley::new(vec![]);
+    let reference = h.attribute_per_period(&series, 10.0).unwrap();
+    let flat = h.attribute(&series, 10.0).unwrap();
+    assert_bits_eq("no split, negative demand", &reference, &flat);
+    assert_eq!(flat.stranded_carbon(), 10.0);
 }

@@ -25,6 +25,9 @@ pub enum SeriesError {
     },
     /// A window or split did not intersect the series.
     OutOfRange,
+    /// A period's peak demand was negative where a non-negative peak is
+    /// required (the Temporal Shapley peak game).
+    NegativePeak,
 }
 
 impl fmt::Display for SeriesError {
@@ -43,6 +46,7 @@ impl fmt::Display for SeriesError {
                 "sampling grids do not match ({left_step} s vs {right_step} s)"
             ),
             SeriesError::OutOfRange => write!(f, "requested window lies outside the series"),
+            SeriesError::NegativePeak => write!(f, "a period's peak demand is negative"),
         }
     }
 }
