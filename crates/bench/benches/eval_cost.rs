@@ -1,14 +1,12 @@
 //! Cost of producing one attribution, before and after the PR's three
 //! optimizations:
 //!
-//! * `exact_serial` / `exact_parallel` — the `Θ(n·2ⁿ)` ground-truth
-//!   solver, single-threaded versus fanned out over the deterministic
-//!   partitioner (bit-identical results, wall-clock only differs);
+//! * `exact_shapley` — the `Θ(n·2ⁿ)` ground-truth solver;
 //! * `sampling_uncached` / `sampling_cached` — permutation sampling with
 //!   and without the coalition-value memo table;
-//! * `toggle_scan` / `toggle_tree` — the Gray-code table fill through the
-//!   original dense `O(steps)` re-scan versus the `O(log steps)` segment
-//!   tree;
+//! * `toggle_scan` / `toggle_flat` — the Gray-code table fill through the
+//!   dense `O(steps)` re-scan reference versus the production running-peak
+//!   state, which touches only a row's support;
 //! * `cascade_per_period` / `cascade_flat` / `cascade_scratch` — the
 //!   hierarchical Temporal Shapley pipeline through the old owned
 //!   per-period path versus the flat zero-copy engine (fresh and with a
@@ -25,10 +23,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use fairco2_shapley::cascade::{BillingQuery, CascadeScratch};
-use fairco2_shapley::default_threads;
 use fairco2_shapley::exact::{
-    exact_shapley, exact_shapley_fast, parallel_exact_shapley, shapley_from_table,
-    shapley_from_table_scalar,
+    exact_shapley, exact_shapley_fast, shapley_from_table, shapley_from_table_scalar,
 };
 use fairco2_shapley::game::{PeakDemandGame, ScanPeak};
 use fairco2_shapley::kernels::{
@@ -51,11 +47,10 @@ fn peak_game(n: usize, steps: usize, seed: u64) -> PeakDemandGame {
 
 /// Schedule-shaped demand: each workload occupies a contiguous window of
 /// `steps / 32` slices (like [`ScheduledWorkload`] slice ranges), so rows
-/// are zero almost everywhere. This sparsity is what the segment-tree
-/// toggle exploits: `O(|support| · log steps)` per toggle versus the
-/// scan's unconditional `O(steps)` re-scan. On fully dense demand the
-/// linear scan is competitive — the tree's advantage is the schedule
-/// structure, not a universal constant factor.
+/// are zero almost everywhere. This sparsity is what the running-peak
+/// toggle exploits: it touches only a row's support and re-scans only
+/// when it lowers the slot holding the peak, versus the reference's
+/// unconditional `O(steps)` re-scan.
 fn windowed_peak_game(n: usize, steps: usize, seed: u64) -> PeakDemandGame {
     let mut rng = StdRng::seed_from_u64(seed);
     let window = (steps / 32).max(1);
@@ -76,17 +71,13 @@ fn windowed_peak_game(n: usize, steps: usize, seed: u64) -> PeakDemandGame {
     PeakDemandGame::new(demand)
 }
 
-fn bench_exact_parallelism(c: &mut Criterion) {
+fn bench_exact(c: &mut Criterion) {
     let mut group = c.benchmark_group("exact_shapley");
     group.sample_size(10);
-    let threads = default_threads();
     for n in [12usize, 16, 20] {
         let game = peak_game(n, 8, n as u64);
         group.bench_with_input(BenchmarkId::new("serial", n), &game, |b, g| {
             b.iter(|| exact_shapley(black_box(g)).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &game, |b, g| {
-            b.iter(|| parallel_exact_shapley(black_box(g), threads).unwrap())
         });
     }
     group.finish();
@@ -120,11 +111,11 @@ fn bench_toggle_paths(c: &mut Criterion) {
     group.sample_size(10);
     // Many time steps with schedule-sparse rows is where the re-scan
     // hurts: each of the 2ⁿ toggles pays O(steps) in the scan path but
-    // only O(|support| · log steps) in the tree path.
+    // mostly O(|support|) in the running-peak path.
     for steps in [64usize, 512] {
         let game = windowed_peak_game(14, steps, steps as u64);
         let scan = ScanPeak(game.clone());
-        group.bench_with_input(BenchmarkId::new("tree", steps), &game, |b, g| {
+        group.bench_with_input(BenchmarkId::new("flat", steps), &game, |b, g| {
             b.iter(|| exact_shapley_fast(black_box(g)).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("scan", steps), &scan, |b, g| {
@@ -291,7 +282,7 @@ fn bench_kernel_scatter(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_exact_parallelism,
+    bench_exact,
     bench_sampling_cache,
     bench_toggle_paths,
     bench_cascade_paths,

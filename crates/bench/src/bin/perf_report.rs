@@ -1,15 +1,14 @@
 //! **Performance report** — machine-readable timings for the three
 //! optimizations of this PR, written to `results/BENCH_shapley.json`:
 //!
-//! * serial versus parallel exact enumeration (`parallel_exact_shapley`)
-//!   across player counts (bit-identity asserted on every trial);
+//! * exact enumeration (`exact_shapley`) across player counts;
 //! * cached versus uncached permutation sampling
 //!   (`sampled_shapley_cached`), with eval counts and cache hit rate;
-//! * the Gray-code table fill through the segment-tree toggle versus the
-//!   original dense re-scan (`ScanPeak`);
+//! * the Gray-code table fill through the running-peak toggle state
+//!   (`PeakFill`) versus the dense re-scan reference (`ScanPeak`);
 //! * a `monte_carlo` section timing the Figure-7 demand study end to end —
-//!   the pre-streaming baseline (fresh per-trial allocations, segment-tree
-//!   fill, per-player marginal accumulation, replicated below from public
+//!   the pre-streaming baseline (fresh per-trial allocations, dense
+//!   re-scan fill, per-player marginal accumulation, replicated below from public
 //!   APIs), the collect-then-summarize path, and the streaming engine,
 //!   plus the checkpoint layer's costs (snapshot write/restore wall time
 //!   and bytes, with a kill-and-resume bit-identity check on a capped
@@ -29,9 +28,7 @@
 //!   per-period sweep (against `kernels::level_sums_scalar`), the leaf
 //!   carbon prefix, the exact-table scatter, and the paired antithetic
 //!   replay — reporting GB/s and elements/ns per kernel with the
-//!   equality/closeness gates asserted in the same run, plus a
-//!   thread-scaling curve (1/2/4/… up to `--threads`) for the parallel
-//!   exact solver — written to
+//!   equality/closeness gates asserted in the same run — written to
 //!   `results/BENCH_kernels.json`;
 //! * a `surrogate` section running the surrogate-accelerated attribution
 //!   benchmark (harvest → cross-fitted ridge fit → error-bounded serving
@@ -41,10 +38,10 @@
 //!   runs the same pipeline at the full 10,000-trial scale);
 //! * a `network` section running the LP-valued network attribution game
 //!   on the vendored revised simplex: full-lattice duality-gap
-//!   certificates, warm-vs-cold bit-identity, and 1/2/8-thread
-//!   bit-invariance asserted before timing the lattice fills and exact
-//!   Shapley solves, with the warm-start iteration-savings ratio as the
-//!   headline — written to `results/BENCH_network.json`.
+//!   certificates, warm-vs-cold bit-identity, and warm iteration savings
+//!   asserted before timing the lattice fills and the exact Shapley
+//!   solve, with the warm-start iteration-savings ratio as the headline —
+//!   written to `results/BENCH_network.json`.
 //!
 //! `--section all|shapley|monte-carlo|temporal|service|kernels|surrogate|network`
 //! picks one section (default `all`). Tune with `--trials N --threads N
@@ -78,8 +75,7 @@ use fairco2_serve::{demand_sample, run_load, AttributionService, LoadOptions, Se
 use fairco2_shapley::cascade::{BillingQuery, CascadeScratch};
 use fairco2_shapley::default_threads;
 use fairco2_shapley::exact::{
-    exact_shapley, exact_shapley_fast, parallel_exact_shapley, shapley_from_table,
-    shapley_from_table_scalar,
+    exact_shapley, exact_shapley_fast, shapley_from_table, shapley_from_table_scalar,
 };
 use fairco2_shapley::game::{
     replay_marginals_into, replay_marginals_paired_into, EvalCounters, Game, IncrementalGame,
@@ -91,7 +87,6 @@ use fairco2_shapley::kernels::{
 };
 use fairco2_shapley::sampled::{sampled_shapley, sampled_shapley_cached, SampleConfig};
 use fairco2_shapley::temporal::{TemporalAttribution, TemporalShapley};
-use fairco2_shapley::MaxTree;
 use fairco2_trace::scale::ScaleVmConfig;
 use fairco2_trace::TimeSeries;
 use fairco2_workloads::ALL_WORKLOADS;
@@ -101,7 +96,6 @@ use serde::Serialize;
 
 #[derive(Serialize)]
 struct PerfReport {
-    threads: usize,
     trials: usize,
     exact: Vec<ExactRow>,
     sampling: Vec<SamplingRow>,
@@ -115,8 +109,6 @@ struct PerfReport {
 struct ExactRow {
     players: usize,
     serial_secs: f64,
-    parallel_secs: f64,
-    speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -134,8 +126,10 @@ struct SamplingRow {
 struct ToggleRow {
     players: usize,
     steps: usize,
+    /// Gray-code fill through the dense re-scan reference (`ScanPeak`).
     scan_secs: f64,
-    tree_secs: f64,
+    /// Gray-code fill through the production running-peak state.
+    flat_secs: f64,
     speedup: f64,
 }
 
@@ -147,8 +141,8 @@ struct MonteCarloReport {
     trials: usize,
     /// Workload cap of the study (the paper's 22 → up to 2²² coalitions).
     max_workloads: usize,
-    /// Pre-streaming per-trial path: fresh allocations, segment-tree Gray
-    /// fill, per-player marginal accumulation.
+    /// Pre-streaming per-trial path: fresh allocations, dense re-scan
+    /// Gray fill, per-player marginal accumulation.
     baseline_secs: f64,
     baseline_trials_per_sec: f64,
     /// Current solver, but trials collected into a `Vec` and summarized
@@ -246,11 +240,6 @@ struct KernelsReport {
     /// Every equality/closeness gate between the scalar and lane paths
     /// held before any timing ran (asserted; recorded for the report).
     gates_passed: bool,
-    /// Cores the OS reports — speedup curves below are flat when this
-    /// is 1 (single-CPU runners time slice the worker threads).
-    available_cores: usize,
-    /// `parallel_exact_shapley` at 1/2/4/… threads up to `--threads`.
-    thread_scaling: Vec<ScalingRow>,
     /// Process peak RSS (`VmHWM`) in KiB.
     peak_rss_kib: Option<u64>,
 }
@@ -302,17 +291,6 @@ impl KernelRow {
     }
 }
 
-/// One point of the thread-scaling curve (results asserted bit-identical
-/// to one-thread runs before timing).
-#[derive(Serialize)]
-struct ScalingRow {
-    threads: usize,
-    /// `parallel_exact_shapley` on the scaling game.
-    exact_secs: f64,
-    /// Wall-time ratio versus the 1-thread row.
-    exact_speedup: f64,
-}
-
 /// Asserts two attributions agree within `tol` relative error in every
 /// observable — the cascade's lane canonical reassociates sums, so the
 /// comparison with the per-period reference is a closeness pin, not a
@@ -349,9 +327,9 @@ fn peak_game(n: usize, steps: usize, seed: u64) -> PeakDemandGame {
 
 /// Schedule-shaped demand: each workload occupies a contiguous window of
 /// `steps / 32` slices, so rows are sparse the way schedule-derived demand
-/// matrices are. The segment-tree toggle's `O(|support| · log steps)`
-/// beats the dense re-scan only under this sparsity; on fully dense rows
-/// the linear scan is competitive.
+/// matrices are. The running-peak toggle touches only a row's support
+/// and re-scans only when it lowers the slot holding the peak, so it
+/// beats the unconditional `O(steps)` re-scan mostly under this sparsity.
 fn windowed_peak_game(n: usize, steps: usize, seed: u64) -> PeakDemandGame {
     let mut rng = StdRng::seed_from_u64(seed);
     let window = (steps / 32).max(1);
@@ -385,28 +363,22 @@ fn marginal_weights(n: usize) -> Vec<f64> {
 
 /// The pre-streaming exact solver, replicated from public APIs as the
 /// baseline for the `monte_carlo` section: a fresh 2ⁿ table per call,
-/// filled along the Gray sequence through a [`MaxTree`] toggle, then one
-/// marginal-difference accumulation pass per player. The production path
-/// replaced the tree with a flat re-scan at schedule-sized step counts and
-/// the per-player passes with a single scatter pass over the table.
+/// filled along the Gray sequence through the dense re-scan toggle
+/// ([`ScanPeak`]), then one marginal-difference accumulation pass per
+/// player. The production path replaced the re-scan with a running peak
+/// and the per-player passes with a single scatter pass over the table.
 fn baseline_exact(game: &PeakDemandGame) -> Vec<f64> {
+    use fairco2_shapley::exact::DeltaGame;
     let n = game.player_count();
     let size = 1u64 << n;
     let mut table = vec![0.0f64; size as usize];
-    let mut sums = MaxTree::new(game.steps());
-    let mut members = vec![false; n];
+    let scan = ScanPeak(game.clone());
+    let mut state = DeltaGame::initial_state(&scan);
     for g in 1..size {
         let gray = g ^ (g >> 1);
         let prev = (g - 1) ^ ((g - 1) >> 1);
         let player = (gray ^ prev).trailing_zeros() as usize;
-        let sign = if members[player] { -1.0 } else { 1.0 };
-        members[player] = !members[player];
-        for (t, &d) in game.demand()[player].iter().enumerate() {
-            if d != 0.0 {
-                sums.add(t, sign * d);
-            }
-        }
-        table[gray as usize] = sums.max();
+        table[gray as usize] = scan.toggle(&mut state, player);
     }
     let weights = marginal_weights(n);
     let mut phi = vec![0.0; n];
@@ -573,29 +545,11 @@ fn main() {
                 continue;
             }
             let game = peak_game(n, 8, seed + n as u64);
-            let reference = exact_shapley(&game).unwrap();
-            let serial_secs = best_secs(trials, || exact_shapley(&game).unwrap());
-            let parallel_secs = best_secs(trials, || {
-                let phi = parallel_exact_shapley(&game, threads).unwrap();
-                for (a, b) in phi.iter().zip(&reference) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "parallel exact must be bit-identical"
-                    );
-                }
-                phi
-            });
             let row = ExactRow {
                 players: n,
-                serial_secs,
-                parallel_secs,
-                speedup: serial_secs / parallel_secs,
+                serial_secs: best_secs(trials, || exact_shapley(&game).unwrap()),
             };
-            println!(
-                "exact      n={:<2}  serial {:.4}s  parallel {:.4}s  ({:.2}x)",
-                row.players, row.serial_secs, row.parallel_secs, row.speedup
-            );
+            println!("exact      n={:<2}  {:.4}s", row.players, row.serial_secs);
             exact.push(row);
         }
 
@@ -641,31 +595,27 @@ fn main() {
         }
 
         let mut toggle = Vec::new();
-        // Steps start above `SCAN_FILL_MAX_STEPS` (64): at or below it the
-        // hybrid fill routes `PeakDemandGame` to the flat re-scan itself, so
-        // the tree-vs-scan comparison would measure two scans.
         for steps in [128usize, 512, 4096] {
             let n = 14.min(max_n);
             let game = windowed_peak_game(n, steps, seed + 200 + steps as u64);
             let scan = ScanPeak(game.clone());
-            let tree_secs = best_secs(trials, || exact_shapley_fast(&game).unwrap());
+            let flat_secs = best_secs(trials, || exact_shapley_fast(&game).unwrap());
             let scan_secs = best_secs(trials, || exact_shapley_fast(&scan).unwrap());
             let row = ToggleRow {
                 players: n,
                 steps,
                 scan_secs,
-                tree_secs,
-                speedup: scan_secs / tree_secs,
+                flat_secs,
+                speedup: scan_secs / flat_secs,
             };
             println!(
-                "toggle     steps={:<4} scan {:.4}s  tree {:.4}s  ({:.2}x)",
-                row.steps, row.scan_secs, row.tree_secs, row.speedup
+                "toggle     steps={:<4} scan {:.4}s  flat {:.4}s  ({:.2}x)",
+                row.steps, row.scan_secs, row.flat_secs, row.speedup
             );
             toggle.push(row);
         }
 
         let report = PerfReport {
-            threads,
             trials,
             exact,
             sampling,
@@ -1195,36 +1145,6 @@ fn main() {
             },
         );
 
-        // Thread-scaling curve for the parallel exact solver, every point
-        // asserted bit-identical to the serial result first.
-        let available_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let scaling_game = peak_game(replay_players, 8, seed + 600);
-        let exact_reference = exact_shapley(&scaling_game).unwrap();
-        let mut scaling_raw = Vec::new();
-        let mut t = 1usize;
-        loop {
-            let phi = parallel_exact_shapley(&scaling_game, t).unwrap();
-            for (a, b) in phi.iter().zip(&exact_reference) {
-                assert_eq!(a.to_bits(), b.to_bits(), "thread scaling: exact table");
-            }
-            let exact_secs =
-                best_secs(trials, || parallel_exact_shapley(&scaling_game, t).unwrap());
-            scaling_raw.push((t, exact_secs));
-            if t >= threads {
-                break;
-            }
-            t = (t * 2).min(threads);
-        }
-        let (_, exact_base) = scaling_raw[0];
-        let thread_scaling: Vec<ScalingRow> = scaling_raw
-            .iter()
-            .map(|&(threads, exact_secs)| ScalingRow {
-                threads,
-                exact_secs,
-                exact_speedup: exact_base / exact_secs,
-            })
-            .collect();
-
         let replay_touched = replay_perms * 2 * replay_players * replay_steps;
         let kernels = vec![
             KernelRow::new(
@@ -1270,15 +1190,6 @@ fn main() {
                 row.speedup
             );
         }
-        for row in &thread_scaling {
-            println!(
-                "kernels    threads={:<2} exact n={} {:>9.2} µs ({:.2}x)",
-                row.threads,
-                replay_players,
-                row.exact_secs * 1.0e6,
-                row.exact_speedup
-            );
-        }
         let report = KernelsReport {
             samples,
             step,
@@ -1291,15 +1202,8 @@ fn main() {
             replay_permutations: replay_perms,
             kernels,
             gates_passed: true,
-            available_cores,
-            thread_scaling,
             peak_rss_kib: peak_rss_kib(),
         };
-        if available_cores == 1 {
-            println!(
-                "kernels    note: 1 available core — thread-scaling points time-slice one CPU"
-            );
-        }
         if let Some(kib) = report.peak_rss_kib {
             println!("kernels    peak RSS {:.1} MiB", kib as f64 / 1024.0);
         }
@@ -1480,7 +1384,6 @@ fn main() {
     if run("network") {
         let network_study = NetworkStudy {
             tenants: args.usize("net-tenants", 12),
-            threads,
             reps: trials.min(3),
             ..NetworkStudy::default()
         };

@@ -16,13 +16,11 @@
 //! 2. **Warm bit-identity** — the warm-started lattice fill (each
 //!    coalition started from its parent's optimal basis) equals the cold
 //!    fill bit for bit;
-//! 3. **Thread invariance** — `parallel_exact_shapley` at 1, 2, and 8
-//!    threads is bit-identical to the serial solver;
-//! 4. **Iteration savings** — warm-starting strictly reduces total
+//! 3. **Iteration savings** — warm-starting strictly reduces total
 //!    simplex iterations versus cold (the headline ratio in the JSON).
 //!
-//! Only after all four pass are the lattice fills and Shapley solves
-//! timed.
+//! Only after all three pass are the lattice fills and the exact Shapley
+//! solve timed.
 
 use std::time::Instant;
 
@@ -31,7 +29,7 @@ use serde::Serialize;
 use fairco2_carbon::network::LinkCarbonModel;
 use fairco2_carbon::units::CarbonIntensity;
 use fairco2_shapley::coalition::Coalition;
-use fairco2_shapley::exact::{exact_shapley, parallel_exact_shapley};
+use fairco2_shapley::exact::exact_shapley;
 use fairco2_shapley::netgame::{CoalitionValue, Link, Network, NetworkCarbonGame};
 
 /// Configuration of the network-attribution benchmark.
@@ -39,8 +37,6 @@ use fairco2_shapley::netgame::{CoalitionValue, Link, Network, NetworkCarbonGame}
 pub struct NetworkStudy {
     /// Tenants in the game; the lattice has `2^tenants` coalitions.
     pub tenants: usize,
-    /// Worker threads for the parallel exact solve timing.
-    pub threads: usize,
     /// Scaled duality-gap tolerance of gate 1.
     pub gap_tolerance: f64,
     /// Timing repetitions per measured path (best wall-clock wins).
@@ -51,7 +47,6 @@ impl Default for NetworkStudy {
     fn default() -> Self {
         Self {
             tenants: 12,
-            threads: 8,
             gap_tolerance: 1e-9,
             reps: 3,
         }
@@ -148,8 +143,6 @@ pub struct NetworkReport {
     pub coalitions: u64,
     /// Links in the fabric.
     pub links: usize,
-    /// Worker threads of the parallel timing run.
-    pub threads: usize,
     /// Scaled duality-gap tolerance the certificate gate enforced.
     pub gap_tolerance: f64,
     /// Largest certified duality gap over every routed solve.
@@ -171,8 +164,6 @@ pub struct NetworkReport {
     pub iteration_savings_ratio: f64,
     /// Gate 2: warm lattice bit-identical to cold.
     pub warm_bit_identical: bool,
-    /// Gate 3: parallel exact Shapley bit-identical at 1/2/8 threads.
-    pub thread_invariant: bool,
     /// All gates asserted before any timing run.
     pub gates_passed: bool,
     /// Cold lattice fill, best wall-clock.
@@ -181,12 +172,8 @@ pub struct NetworkReport {
     pub warm_lattice_secs: f64,
     /// `cold_lattice_secs / warm_lattice_secs`.
     pub lattice_speedup: f64,
-    /// Serial exact Shapley over the LP game, best wall-clock.
+    /// Exact Shapley over the LP game, best wall-clock.
     pub serial_exact_secs: f64,
-    /// Parallel exact Shapley at `threads`, best wall-clock.
-    pub parallel_exact_secs: f64,
-    /// `serial_exact_secs / parallel_exact_secs`.
-    pub exact_speedup: f64,
 }
 
 fn best_secs<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
@@ -238,20 +225,7 @@ pub fn run_network(study: &NetworkStudy) -> NetworkReport {
         );
     }
 
-    // Gate 3: parallel exact Shapley bit-identical at 1/2/8 threads.
-    let serial_phi = exact_shapley(&game).expect("serial exact");
-    for threads in [1usize, 2, 8] {
-        let phi = parallel_exact_shapley(&game, threads).expect("parallel exact");
-        for (p, (a, b)) in serial_phi.iter().zip(&phi).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "player {p} diverged at {threads} threads"
-            );
-        }
-    }
-
-    // Gate 4: warm-starting must strictly reduce total simplex
+    // Gate 3: warm-starting must strictly reduce total simplex
     // iterations — the point of carrying the parent basis around.
     assert!(
         warm_stats.iterations < cold_stats.iterations,
@@ -264,15 +238,11 @@ pub fn run_network(study: &NetworkStudy) -> NetworkReport {
     let cold_lattice_secs = best_secs(study.reps, || game.fill_lattice_cold());
     let warm_lattice_secs = best_secs(study.reps, || game.fill_lattice_warm());
     let serial_exact_secs = best_secs(study.reps, || exact_shapley(&game).unwrap());
-    let parallel_exact_secs = best_secs(study.reps, || {
-        parallel_exact_shapley(&game, study.threads).unwrap()
-    });
 
     NetworkReport {
         tenants: n,
         coalitions: cold_stats.coalitions,
         links,
-        threads: study.threads,
         gap_tolerance: study.gap_tolerance,
         max_duality_gap: max_gap,
         unroutable_coalitions: unroutable,
@@ -284,14 +254,11 @@ pub fn run_network(study: &NetworkStudy) -> NetworkReport {
         iteration_savings_ratio: 1.0
             - warm_stats.iterations as f64 / cold_stats.iterations.max(1) as f64,
         warm_bit_identical: true,
-        thread_invariant: true,
         gates_passed: true,
         cold_lattice_secs,
         warm_lattice_secs,
         lattice_speedup: cold_lattice_secs / warm_lattice_secs,
         serial_exact_secs,
-        parallel_exact_secs,
-        exact_speedup: serial_exact_secs / parallel_exact_secs,
     }
 }
 
@@ -316,10 +283,7 @@ pub fn print_network(report: &NetworkReport) {
         report.warm_lattice_secs,
         report.lattice_speedup
     );
-    println!(
-        "           exact Shapley serial {:.4}s  parallel {:.4}s ({:.2}x at {} threads)",
-        report.serial_exact_secs, report.parallel_exact_secs, report.exact_speedup, report.threads
-    );
+    println!("           exact Shapley {:.4}s", report.serial_exact_secs);
 }
 
 #[cfg(test)]
@@ -330,7 +294,6 @@ mod tests {
     fn reduced_study_passes_all_gates() {
         let report = run_network(&NetworkStudy {
             tenants: 6,
-            threads: 2,
             reps: 1,
             ..NetworkStudy::default()
         });

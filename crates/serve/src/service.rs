@@ -84,6 +84,8 @@ pub enum ServeError {
     Config(SeriesError),
     /// Persisting a closed window failed.
     Persist(CheckpointError),
+    /// A demand sample was negative or non-finite; it was not ingested.
+    InvalidSample(f64),
 }
 
 impl std::fmt::Display for ServeError {
@@ -91,6 +93,9 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Config(e) => write!(f, "invalid service config: {e}"),
             ServeError::Persist(e) => write!(f, "window persistence failed: {e}"),
+            ServeError::InvalidSample(v) => {
+                write!(f, "demand samples must be non-negative and finite, got {v}")
+            }
         }
     }
 }
@@ -180,15 +185,17 @@ impl AttributionService {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Persist`] if the configured durable write fails —
-    /// the window is *not* published in that case (at-least-once
-    /// persistence: nothing is queryable that is not on disk).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is negative or non-finite (see
-    /// [`IncrementalCascade::push`]).
+    /// [`ServeError::InvalidSample`] if `value` is negative or
+    /// non-finite — the sample is dropped (and not counted in
+    /// [`ServiceHandle::ingested`]), leaving the stream as if it had
+    /// never arrived. [`ServeError::Persist`] if the configured durable
+    /// write fails — the window is *not* published in that case
+    /// (at-least-once persistence: nothing is queryable that is not on
+    /// disk).
     pub fn ingest(&mut self, value: f64) -> Result<Option<u64>, ServeError> {
+        if !(value.is_finite() && value >= 0.0) {
+            return Err(ServeError::InvalidSample(value));
+        }
         let closed = self.engine.push(value);
         self.shared.ingested.fetch_add(1, Ordering::Relaxed);
         if !closed {

@@ -7,7 +7,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use fairco2_serve::{
-    demand_sample, read_persisted_window, AttributionService, EpochSnapshot, ServiceConfig,
+    demand_sample, read_persisted_window, AttributionService, EpochSnapshot, ServeError,
+    ServiceConfig,
 };
 use fairco2_shapley::cascade::first_sample_at_or_after;
 use fairco2_shapley::temporal::TemporalShapley;
@@ -329,5 +330,44 @@ fn empty_epoch_answers_zero_everywhere() {
     assert_eq!(epoch.samples(), 0);
     for q in query_mix(&config, 1, 5) {
         assert_eq!(epoch.carbon(q), 0.0);
+    }
+}
+
+/// Bad telemetry is a typed error, not a crash: NaN, −1 and +∞ are
+/// rejected without being counted, and the stream around them publishes
+/// exactly the epochs of a clean stream.
+#[test]
+fn invalid_samples_are_rejected_and_leave_the_stream_untouched() {
+    let config = test_config(vec![3, 2], 2);
+    let w = config.window_samples() as u64;
+    let seed = 29;
+    let mut clean = AttributionService::start(config.clone()).unwrap();
+    let mut dirty = AttributionService::start(config.clone()).unwrap();
+    let bad = [f64::NAN, -1.0, f64::INFINITY];
+    for i in 0..3 * w {
+        // Inject before the first sample, mid-window and right before a
+        // window-closing sample.
+        if i == 0 || i == w / 2 || i == 2 * w - 1 {
+            for v in bad {
+                match dirty.ingest(v) {
+                    Err(ServeError::InvalidSample(got)) => {
+                        assert_eq!(got.to_bits(), v.to_bits())
+                    }
+                    other => panic!("sample {v} must be rejected, got {other:?}"),
+                }
+            }
+        }
+        let v = demand_sample(i, seed);
+        assert_eq!(clean.ingest(v).unwrap(), dirty.ingest(v).unwrap());
+    }
+    let (clean, dirty) = (clean.handle(), dirty.handle());
+    assert_eq!(dirty.ingested(), clean.ingested());
+    let (a, b) = (clean.epoch(), dirty.epoch());
+    assert_eq!((a.epoch, a.samples()), (b.epoch, b.samples()));
+    for i in 0..=a.samples() {
+        assert_eq!(a.prefix_at(i).to_bits(), b.prefix_at(i).to_bits());
+    }
+    for q in query_mix(&config, a.epoch, 3) {
+        assert_eq!(a.carbon(q).to_bits(), b.carbon(q).to_bits());
     }
 }

@@ -11,27 +11,21 @@ use std::fmt;
 
 use crate::cascade::{combine_lanes, CANONICAL_LANES};
 use crate::coalition::Coalition;
-use crate::game::Game;
-use crate::maxtree::MaxTree;
-use crate::parallel::run_parallel;
+use crate::game::{Game, PeakFill};
 
 /// Hard cap on exact enumeration: `2²⁴` values ≈ 128 MiB of table.
 ///
 /// Peak memory at the cap is the value table plus allocator slack and
 /// nothing else: measured peak RSS (`VmHWM` from `/proc/self/status`) of
-/// a 24-player run on the CI container is 130.0 MiB for `exact_shapley`
-/// and 134.2 MiB for `parallel_exact_shapley` — [`shapley_from_table`]
-/// streams the table in cache-friendly blocks rather than materializing
-/// any per-player copy, and the parallel fill writes the single table in
-/// place instead of assembling per-chunk buffers. Reproduce with
+/// a 24-player `exact_shapley` run on the CI container is 130.0 MiB —
+/// [`shapley_from_table`] streams the table in cache-friendly blocks
+/// rather than materializing any per-player copy. Reproduce with
 /// `perf_report --max-n 24`, which records the same counter.
 pub const MAX_EXACT_PLAYERS: usize = 24;
 
-/// Masks per block when streaming the value table. Blocks are the unit
-/// of both cache blocking (`2¹⁶` masks = 512 KiB of table, so a block's
-/// φ scatter stays in L2) and of the parallel accumulation fan-out; the
-/// per-block partials are merged in ascending block order, which is what
-/// keeps [`parallel_exact_shapley`] bit-identical to the serial solver.
+/// Masks per block when streaming the value table: the unit of cache
+/// blocking (`2¹⁶` masks = 512 KiB of table, so a block's φ scatter stays
+/// in L2). The per-block partials are merged in ascending block order.
 const TABLE_BLOCK_MASKS: u64 = 1 << 16;
 
 /// Error from the exact solver.
@@ -111,46 +105,6 @@ pub fn exact_shapley<G: Game>(game: &G) -> Result<Vec<f64>, ExactError> {
         })
         .collect();
     Ok(shapley_from_table(n, &table))
-}
-
-/// [`exact_shapley`] with both phases fanned out across worker threads:
-/// the `2ⁿ` table fill writes disjoint `chunks_mut` ranges of the final
-/// table in place (each value is a pure function of its mask, so the
-/// partition cannot affect any entry) and the `Θ(n·2ⁿ)` accumulation is
-/// chunked per player through [`run_parallel`]. Every per-mask /
-/// per-player computation is performed exactly as in the serial solver —
-/// so the result is **bit-identical** to [`exact_shapley`] at any thread
-/// count. Filling in place also means the table is allocated exactly
-/// once; assembling per-chunk buffers would transiently double peak
-/// memory at the [`MAX_EXACT_PLAYERS`] cap.
-///
-/// `threads = 0` is clamped to one worker.
-///
-/// # Errors
-///
-/// Same conditions as [`exact_shapley`].
-pub fn parallel_exact_shapley<G>(game: &G, threads: usize) -> Result<Vec<f64>, ExactError>
-where
-    G: Game + Sync,
-{
-    let n = check_size(game)?;
-    let size = 1usize << n;
-    let threads = threads.clamp(1, size);
-    let mut table = vec![0.0f64; size];
-    let chunk_len = size.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (worker, chunk) in table.chunks_mut(chunk_len).enumerate() {
-            let base = (worker * chunk_len) as u64;
-            scope.spawn(move || {
-                let mut coalition = Coalition::empty(n);
-                for (offset, slot) in chunk.iter_mut().enumerate() {
-                    coalition.set_mask(base + offset as u64);
-                    *slot = game.value(&coalition);
-                }
-            });
-        }
-    });
-    Ok(parallel_shapley_from_table(n, &table, threads))
 }
 
 /// Computes exact Shapley values using Gray-code toggling, avoiding a full
@@ -296,96 +250,30 @@ fn check_size<G: Game>(game: &G) -> Result<usize, ExactError> {
     Ok(n)
 }
 
-/// Step-count threshold below which the peak-demand toggle state keeps a
-/// flat per-step sum array re-scanned in full, instead of a [`MaxTree`].
-/// At the paper's 4–9 time slices a branch-free scan over ≤ 64 contiguous
-/// `f64`s beats the tree's pointer-arithmetic update path by ~4× on the
-/// `2ⁿ`-toggle fill; the tree still wins asymptotically, so long horizons
-/// keep it.
-const SCAN_FILL_MAX_STEPS: usize = 64;
-
-/// Toggle state of [`PeakDemandGame`](crate::game::PeakDemandGame):
-/// per-time-step coalition sums, kept flat or in a [`MaxTree`] depending
-/// on the horizon (see [`SCAN_FILL_MAX_STEPS`]). Both variants apply the
-/// same per-step additions and report the same maximum over the same
-/// sums — `max` selects an existing value and never rounds — so the
-/// choice never changes a value bit.
-#[derive(Debug)]
-pub enum PeakFill {
-    /// Flat sums plus the running peak, maintained incrementally: a
-    /// toggle compares the touched slots against the stored peak and only
-    /// re-scans the array when it lowered a slot that held the peak.
-    Scan {
-        /// Per-time-step coalition sums.
-        sums: Vec<f64>,
-        /// `max(0, sums)` of the current coalition.
-        peak: f64,
-    },
-    /// Segment-tree sums, peak read off the root.
-    Tree(MaxTree),
-}
-
 impl DeltaGame for crate::game::PeakDemandGame {
-    /// Per-time-step sums (flat or tree, per [`PeakFill`]) plus explicit
-    /// membership flags; a toggle applies the player's sparse support and
-    /// returns the updated peak.
+    /// Per-time-step sums plus the running peak ([`PeakFill`]) and
+    /// explicit membership flags; a toggle applies the player's sparse
+    /// support with sign −1 or +1 and returns the updated peak.
     type State = (PeakFill, Vec<bool>);
 
     fn initial_state(&self) -> Self::State {
-        let sums = if self.steps() <= SCAN_FILL_MAX_STEPS {
-            PeakFill::Scan {
-                sums: vec![0.0; self.steps()],
-                peak: 0.0,
-            }
-        } else {
-            PeakFill::Tree(MaxTree::new(self.steps()))
-        };
-        (sums, vec![false; self.player_count()])
+        (
+            PeakFill::new(self.steps()),
+            vec![false; self.player_count()],
+        )
     }
 
     fn toggle(&self, (fill, members): &mut Self::State, player: usize) -> f64 {
         let sign = if members[player] { -1.0 } else { 1.0 };
         members[player] = !members[player];
-        match fill {
-            PeakFill::Scan { sums, peak } => {
-                let mut before = f64::NEG_INFINITY;
-                let mut after = f64::NEG_INFINITY;
-                for &(t, d) in self.support(player) {
-                    let s = &mut sums[t as usize];
-                    before = before.max(*s);
-                    *s += sign * d;
-                    after = after.max(*s);
-                }
-                // Exact case split on where the old peak lived:
-                // * `before < peak` — the peak is at an untouched slot, so
-                //   it still caps them and only `after` can beat it;
-                // * `after >= peak` — a touched slot now holds (at least)
-                //   the old peak, which already capped every other slot;
-                // * otherwise a slot holding the peak was lowered below
-                //   it, and only a full scan knows the new peak.
-                *peak = if before < *peak {
-                    peak.max(after)
-                } else if after >= *peak {
-                    after
-                } else {
-                    sums.iter().copied().fold(0.0, f64::max)
-                };
-                *peak
-            }
-            PeakFill::Tree(sums) => {
-                for &(t, d) in self.support(player) {
-                    sums.add(t as usize, sign * d);
-                }
-                sums.max()
-            }
-        }
+        fill.apply(self.support(player), sign)
     }
 }
 
 impl DeltaGame for crate::game::ScanPeak {
-    /// The original dense layout: per-time-step sums plus membership
-    /// flags, re-scanned in full after every toggle. Reference path for
-    /// the equality pins and the `toggle` bench.
+    /// The dense layout: per-time-step sums plus membership flags,
+    /// re-scanned in full after every toggle. Reference path for the
+    /// equality pins and the `toggle` bench rows.
     type State = (Vec<f64>, Vec<bool>);
 
     fn initial_state(&self) -> Self::State {
@@ -434,9 +322,7 @@ impl DeltaGame for crate::game::TableGame {
 /// work), and the player-independent correction `Σ w[|T|]·v(T)`
 /// subtracted once at the end. The pass is split into
 /// [`TABLE_BLOCK_MASKS`]-sized blocks whose partial φ vectors are merged
-/// in ascending block order; the parallel accumulation distributes the
-/// same blocks and merges identically, so both are bit-identical at any
-/// thread count.
+/// in ascending block order.
 ///
 /// Within a block the scatter is **lane-parallel**
 /// ([`scatter_block_lanes`]): mask `m` accumulates into lane `m mod 4`,
@@ -444,7 +330,7 @@ impl DeltaGame for crate::game::TableGame {
 /// pair tree ([`combine_lanes`]). Per φ slot that is one reassociation of
 /// the block's serial sum, so results differ from
 /// [`shapley_from_table_scalar`] by a documented ≤ O(ε)-relative bound
-/// per block while staying bit-identical across thread counts.
+/// per block.
 pub fn shapley_from_table(n: usize, table: &[f64]) -> Vec<f64> {
     let mut phi = vec![0.0f64; n];
     let mut weights = vec![0.0f64; n];
@@ -495,44 +381,9 @@ fn shapley_from_table_into(n: usize, table: &[f64], weights: &mut [f64], phi: &m
     }
 }
 
-/// [`shapley_from_table`] with the per-block scatters fanned out across
-/// worker threads. Each block's partial φ vector and correction term are
-/// computed exactly as in the serial pass and merged in ascending block
-/// order, so the result is bit-identical to the serial accumulation at
-/// any thread count.
-fn parallel_shapley_from_table(n: usize, table: &[f64], threads: usize) -> Vec<f64> {
-    let weights = subset_weights(n);
-    let (wc, coeff) = scatter_coefficients(n, &weights);
-    let blocks: Vec<_> = mask_blocks(n).collect();
-    let partials = run_parallel(blocks.len(), threads, |b| {
-        let mut block_phi = [0.0f64; MAX_EXACT_PLAYERS];
-        let c = scatter_block_lanes(table, &wc, &coeff, &blocks[b], &mut block_phi[..n]);
-        (block_phi, c)
-    });
-    let mut phi = vec![0.0f64; n];
-    let mut correction = 0.0;
-    for (block_phi, c) in &partials {
-        for (p, b) in phi.iter_mut().zip(&block_phi[..n]) {
-            *p += *b;
-        }
-        correction += *c;
-    }
-    for p in phi.iter_mut() {
-        *p -= correction;
-    }
-    phi
-}
-
-/// `w[s] = s!·(n−1−s)!/n!`, built by the recurrence
-/// `w[s] = w[s−1]·s/(n−s)` to stay in floating range for any `n` we
-/// support.
-fn subset_weights(n: usize) -> Vec<f64> {
-    let mut weights = vec![0.0f64; n];
-    subset_weights_into(n, &mut weights);
-    weights
-}
-
-/// [`subset_weights`] into a caller-owned buffer of length `n`.
+/// `w[s] = s!·(n−1−s)!/n!` into a caller-owned buffer of length `n`,
+/// built by the recurrence `w[s] = w[s−1]·s/(n−s)` to stay in floating
+/// range for any `n` we support.
 fn subset_weights_into(n: usize, weights: &mut [f64]) {
     weights[0] = 1.0 / n as f64;
     for s in 1..n {
@@ -605,8 +456,7 @@ pub(crate) fn scatter_block_scalar(
 /// masks retire in flight together. The lane partials collapse through
 /// the cascade's canonical pair tree ([`combine_lanes`]), fixed and
 /// data-length independent, so the result is a deterministic function of
-/// the block alone: serial and parallel callers merging blocks in
-/// ascending order stay bit-identical to each other.
+/// the block alone.
 ///
 /// Versus the scalar chain each φ slot is reassociated once per block
 /// (serial sum → 4 lane sums + pair tree), giving the usual ≤ O(n·ε)
@@ -875,27 +725,6 @@ mod tests {
         ] {
             for v in phi {
                 assert_eq!(v.to_bits(), 0.0f64.to_bits());
-            }
-        }
-    }
-
-    /// The per-block lane combine is a fixed tree independent of the
-    /// fan-out, so distributing blocks across workers and merging them in
-    /// ascending order reproduces the serial lane accumulation bit for
-    /// bit at any thread count.
-    #[test]
-    fn parallel_table_accumulation_is_bit_identical_to_serial_lane() {
-        let n = 17; // two TABLE_BLOCK_MASKS blocks
-        let table: Vec<f64> = (0u64..1 << n).map(|m| hash_value(m, 7)).collect();
-        let serial = shapley_from_table(n, &table);
-        for threads in [1, 2, 3, 8] {
-            let parallel = parallel_shapley_from_table(n, &table, threads);
-            for (p, (s, q)) in serial.iter().zip(&parallel).enumerate() {
-                assert_eq!(
-                    s.to_bits(),
-                    q.to_bits(),
-                    "threads={threads} phi[{p}]: {s} vs {q}"
-                );
             }
         }
     }

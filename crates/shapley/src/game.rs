@@ -3,7 +3,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::coalition::Coalition;
-use crate::maxtree::MaxTree;
 
 /// A cooperative game: a set of players and a characteristic function
 /// assigning a cost (here: carbon) to every coalition.
@@ -117,9 +116,8 @@ impl EvalCounters {
 /// player's marginal contribution into `marginals` (indexed by player)
 /// and charging the work to `counters`.
 ///
-/// Allocates a fresh state per call; hot paths should hold a state (or a
-/// [`SampleScratch`](crate::sampled::SampleScratch)) and use
-/// [`replay_marginals_into`] instead.
+/// Allocates a fresh state per call; hot paths should hold a state and
+/// use [`replay_marginals_into`] instead.
 ///
 /// # Panics
 ///
@@ -347,35 +345,83 @@ impl Game for PeakDemandGame {
 }
 
 impl IncrementalGame for PeakDemandGame {
-    /// Per-time-step sums held in a segment tree: inserting a player
-    /// costs `O(|support| · log steps)` and the coalition peak is read
-    /// off the root, instead of the former `O(steps)` scan per insertion.
-    type State = MaxTree;
+    type State = PeakFill;
 
     fn initial_state(&self) -> Self::State {
-        MaxTree::new(self.steps)
+        PeakFill::new(self.steps)
     }
 
     fn reset_state(&self, state: &mut Self::State) {
-        state.reset();
+        state.sums.fill(0.0);
+        state.peak = 0.0;
     }
 
     fn add_player(&self, state: &mut Self::State, player: usize) -> f64 {
-        for &(t, d) in self.support(player) {
-            state.add(t as usize, d);
-        }
-        state.max()
+        state.apply(self.support(player), 1.0)
     }
 }
 
-/// The pre-segment-tree reference implementation of the peak-demand
-/// game's incremental and toggle paths: dense per-step sums, a running
-/// peak, and a full `O(steps)` re-scan per toggle.
+/// Evaluation state of [`PeakDemandGame`] for both permutation replay
+/// ([`IncrementalGame`]) and the exact solver's Gray-code fill
+/// ([`DeltaGame`](crate::exact::DeltaGame)): flat per-time-step coalition
+/// sums plus the running peak, maintained incrementally. An update
+/// compares the touched slots against the stored peak and only re-scans
+/// the array when it lowered a slot that held the peak.
+#[derive(Debug, Clone)]
+pub struct PeakFill {
+    /// Per-time-step coalition sums.
+    sums: Vec<f64>,
+    /// `max(0, sums)` of the current coalition.
+    peak: f64,
+}
+
+impl PeakFill {
+    /// The empty coalition's state over `steps` time steps.
+    pub(crate) fn new(steps: usize) -> Self {
+        Self {
+            sums: vec![0.0; steps],
+            peak: 0.0,
+        }
+    }
+
+    /// Adds `sign · d` to every `(t, d)` slot of a player's `support` and
+    /// returns the updated peak, equal to `sums.fold(0.0, f64::max)` —
+    /// `max` selects an existing value and never rounds.
+    pub(crate) fn apply(&mut self, support: &[(u32, f64)], sign: f64) -> f64 {
+        let mut before = f64::NEG_INFINITY;
+        let mut after = f64::NEG_INFINITY;
+        for &(t, d) in support {
+            let s = &mut self.sums[t as usize];
+            before = before.max(*s);
+            *s += sign * d;
+            after = after.max(*s);
+        }
+        // Exact case split on where the old peak lived:
+        // * `before < peak` — the peak is at an untouched slot, so it
+        //   still caps them and only `after` can beat it;
+        // * `after >= peak` — a touched slot now holds (at least) the old
+        //   peak, which already capped every other slot;
+        // * otherwise a slot holding the peak was lowered below it (a
+        //   removal, or an add of a negative demand), and only a full
+        //   scan knows the new peak.
+        self.peak = if before < self.peak {
+            self.peak.max(after)
+        } else if after >= self.peak {
+            after
+        } else {
+            self.sums.iter().copied().fold(0.0, f64::max)
+        };
+        self.peak
+    }
+}
+
+/// The reference implementation of the peak-demand game's incremental
+/// and toggle paths: dense per-step sums re-scanned in full
+/// (`fold(0.0, f64::max)`, `O(steps)`) after every update.
 ///
-/// Kept public so the equality-pinning tests and the
-/// `segment-tree vs scan` Criterion bench can compare [`PeakDemandGame`]'s
-/// [`MaxTree`]-backed paths against the original algorithm; not intended
-/// for production use.
+/// Kept public so the equality-pinning tests and the toggle benches can
+/// compare [`PeakDemandGame`]'s [`PeakFill`] paths against the plain
+/// algorithm; not intended for production use.
 #[derive(Debug, Clone)]
 pub struct ScanPeak(pub PeakDemandGame);
 
@@ -390,28 +436,22 @@ impl Game for ScanPeak {
 }
 
 impl IncrementalGame for ScanPeak {
-    /// Running per-time-step sums plus the current peak (the original
-    /// state layout).
-    type State = (Vec<f64>, f64);
+    /// Running per-time-step sums.
+    type State = Vec<f64>;
 
     fn initial_state(&self) -> Self::State {
-        (vec![0.0; self.0.steps()], 0.0)
+        vec![0.0; self.0.steps()]
     }
 
-    fn reset_state(&self, state: &mut Self::State) {
-        state.0.fill(0.0);
-        state.1 = 0.0;
+    fn reset_state(&self, sums: &mut Self::State) {
+        sums.fill(0.0);
     }
 
-    fn add_player(&self, state: &mut Self::State, player: usize) -> f64 {
-        let (sums, peak) = state;
+    fn add_player(&self, sums: &mut Self::State, player: usize) -> f64 {
         for (s, d) in sums.iter_mut().zip(&self.0.demand()[player]) {
             *s += d;
-            if *s > *peak {
-                *peak = *s;
-            }
         }
-        *peak
+        sums.iter().copied().fold(0.0, f64::max)
     }
 }
 
@@ -543,27 +583,42 @@ mod tests {
     }
 
     #[test]
-    fn tree_backed_incremental_path_matches_the_scan_reference() {
-        // Equality pin: the MaxTree-backed add_player must reproduce the
-        // original dense-scan algorithm bit-for-bit on nonnegative
-        // demands, across several permutations and a reused state.
-        let demand = vec![
-            vec![4.0, 1.0, 0.0, 2.0],
-            vec![1.0, 4.0, 2.0, 0.0],
-            vec![0.0, 0.0, 5.0, 5.0],
-            vec![2.5, 0.5, 3.5, 0.25],
+    fn incremental_path_matches_the_scan_reference() {
+        // Equality pin: the running-peak add_player must reproduce the
+        // dense re-scan bit-for-bit across several permutations and a
+        // reused state. The signed rows pin the re-scan branch for adds:
+        // adding a negative demand can lower the slot holding the peak.
+        let rows = [
+            vec![
+                vec![4.0, 1.0, 0.0, 2.0],
+                vec![1.0, 4.0, 2.0, 0.0],
+                vec![0.0, 0.0, 5.0, 5.0],
+                vec![2.5, 0.5, 3.5, 0.25],
+            ],
+            vec![
+                vec![5.0, 0.0, 1.0, 0.0],
+                vec![-3.0, 2.0, 0.0, 0.0],
+                vec![0.0, -4.0, -2.0, 1.5],
+                vec![-1.0, -1.0, -1.0, -1.0],
+            ],
         ];
-        let tree_game = PeakDemandGame::new(demand.clone());
-        let scan_game = ScanPeak(PeakDemandGame::new(demand));
-        let mut tree_state = tree_game.initial_state();
-        let mut scan_state = scan_game.initial_state();
-        for order in [[0usize, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
-            tree_game.reset_state(&mut tree_state);
-            scan_game.reset_state(&mut scan_state);
-            for p in order {
-                let a = tree_game.add_player(&mut tree_state, p);
-                let b = scan_game.add_player(&mut scan_state, p);
-                assert_eq!(a.to_bits(), b.to_bits(), "player {p} in {order:?}");
+        for demand in rows {
+            let game = PeakDemandGame::new(demand.clone());
+            let scan_game = ScanPeak(PeakDemandGame::new(demand));
+            let mut state = game.initial_state();
+            let mut scan_state = scan_game.initial_state();
+            for order in [[0usize, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
+                game.reset_state(&mut state);
+                scan_game.reset_state(&mut scan_state);
+                let mut members = Vec::new();
+                for p in order {
+                    members.push(p);
+                    let a = game.add_player(&mut state, p);
+                    let b = scan_game.add_player(&mut scan_state, p);
+                    let v = game.value(&Coalition::from_players(4, members.iter().copied()));
+                    assert_eq!(a.to_bits(), b.to_bits(), "player {p} in {order:?}");
+                    assert_eq!(a.to_bits(), v.to_bits(), "player {p} in {order:?}");
+                }
             }
         }
     }

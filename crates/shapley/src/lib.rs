@@ -9,18 +9,17 @@
 //!   sampling.
 //! * [`exact`] — ground-truth Shapley by subset enumeration, `O(n·2ⁿ)`;
 //!   practical to ~24 players, exactly the regime the paper evaluates
-//!   (≤ 22 workloads). Includes a deterministic parallel table-fill
-//!   solver ([`exact::parallel_exact_shapley`]).
+//!   (≤ 22 workloads): [`exact::exact_shapley`] fills the value table
+//!   from any [`Game`](game::Game), [`exact::exact_shapley_fast`] by
+//!   Gray-code toggling.
 //! * [`sampled`] — permutation-sampling estimator with antithetic
 //!   variance reduction (pair-aware standard errors) and a standard-error
-//!   stopping rule, for games too large to enumerate. Reusable
-//!   [`sampled::SampleScratch`] buffers keep the inner loop free of heap
-//!   allocation.
+//!   stopping rule, for games too large to enumerate. One permutation
+//!   loop, free of heap allocation after warm-up, serves both the serial
+//!   estimator and every parallel batch.
 //! * [`cache`] — the open-addressing [`cache::CoalitionCache`] memo table
 //!   and the [`cache::CachedGame`] adapter that lets every sampler and
 //!   axiom check skip repeated characteristic-function evaluations.
-//! * [`maxtree`] — the segment tree backing `O(log steps)` peak-demand
-//!   updates in the replay hot path.
 //! * [`parallel`] — the deterministic parallel engine: batched
 //!   permutation sampling over scoped worker threads with per-batch
 //!   seeding, moment merging, work counters, and a convergence trace;
@@ -77,7 +76,6 @@ pub mod game;
 pub mod incremental;
 pub mod kernels;
 pub mod matching;
-pub mod maxtree;
 pub mod netgame;
 pub mod parallel;
 pub mod sampled;
@@ -90,24 +88,20 @@ pub use cache::{CachedGame, CoalitionCache};
 pub use cascade::{combine_lanes, combine_lanes_max, CANONICAL_LANES, PREFIX_BLOCK};
 pub use cascade::{BillingQuery, CascadeScratch, IntensityIndex};
 pub use coalition::Coalition;
-pub use exact::{
-    exact_shapley, exact_shapley_fast_with_scratch, parallel_exact_shapley, ExactScratch,
-};
+pub use exact::{exact_shapley, exact_shapley_fast_with_scratch, ExactScratch};
 pub use game::{
     replay_marginals_into, replay_marginals_paired_into, EvalCounters, Game, GameStats,
     IncrementalGame, ScanPeak,
 };
 pub use incremental::{IncrementalCascade, WindowAttribution};
 pub use matching::{shapley_from_moments, MatchingGame};
-pub use maxtree::MaxTree;
 pub use netgame::{CoalitionValue, LatticeStats, Link, Network, NetworkCarbonGame};
 pub use parallel::{
     default_threads, panic_message, parallel_sampled_shapley, run_parallel, run_parallel_retrying,
     ConvergenceTrace, ItemAbandoned, ParallelConfig, ParallelEstimate, RetryCounters, TracePoint,
 };
 pub use sampled::{
-    sampled_shapley, sampled_shapley_cached, sampled_shapley_with_scratch, stratified_shapley,
-    Moments, SampleConfig, SampleScratch, ShapleyEstimate,
+    sampled_shapley, sampled_shapley_cached, Moments, SampleConfig, ShapleyEstimate,
 };
 pub use surrogate::{
     player_features_into, SurrogateAttributor, SurrogateModel, SurrogateOutcome, SurrogateScratch,

@@ -196,7 +196,7 @@ pub struct LatticeStats {
 ///
 /// `value()` performs a pure cold solve with no interior mutability, so
 /// the game is `Sync` and drops unchanged into
-/// [`crate::exact::parallel_exact_shapley`] and the sampling engines.
+/// [`crate::exact::exact_shapley`] and the parallel sampling engine.
 #[derive(Debug, Clone)]
 pub struct NetworkCarbonGame {
     network: Network,

@@ -22,16 +22,13 @@
 //! the bench bins.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 use crate::cache::CachedGame;
-use crate::game::{
-    replay_marginals_into, replay_marginals_paired_into, EvalCounters, IncrementalGame,
-};
-use crate::sampled::{Moments, SampleConfig, SampleScratch, ShapleyEstimate};
+use crate::game::{EvalCounters, IncrementalGame};
+use crate::sampled::{sample_permutations, Moments, SampleConfig, ShapleyEstimate};
 
 /// Runs `trials` independent work items across `threads` worker threads,
 /// returning results in item order.
@@ -324,10 +321,10 @@ fn batch_seed(base_seed: u64, batch: u64) -> u64 {
     base_seed ^ (batch.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Runs one batch: `count` permutations drawn from the batch's own RNG.
-/// With `coalition_cache` the batch owns a fresh memo table; either way
-/// the batch owns one [`SampleScratch`], so the permutation loop never
-/// allocates after its first iteration.
+/// Runs one batch: `count` permutations drawn from the batch's own RNG
+/// through the shared permutation loop, never stopping early (the
+/// stopping rule runs on the merged prefix, between rounds). With
+/// `coalition_cache` the batch owns a fresh memo table.
 fn run_batch<G: IncrementalGame>(
     game: &G,
     config: &SampleConfig,
@@ -335,57 +332,13 @@ fn run_batch<G: IncrementalGame>(
     count: usize,
     coalition_cache: bool,
 ) -> (Moments, EvalCounters) {
+    let mut rng = StdRng::seed_from_u64(seed);
     if coalition_cache {
         let cached = CachedGame::new(game);
-        run_batch_uncached(&cached, config, seed, count)
+        sample_permutations(&cached, config.antithetic, count, &mut rng, |_| false)
     } else {
-        run_batch_uncached(game, config, seed, count)
+        sample_permutations(game, config.antithetic, count, &mut rng, |_| false)
     }
-}
-
-fn run_batch_uncached<G: IncrementalGame>(
-    game: &G,
-    config: &SampleConfig,
-    seed: u64,
-    count: usize,
-) -> (Moments, EvalCounters) {
-    let n = game.player_count();
-    let start = Instant::now();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut moments = Moments::zero(n);
-    let mut counters = EvalCounters::default();
-    let mut scratch = SampleScratch::for_game(game);
-    while moments.permutations() < count {
-        scratch.order.shuffle(&mut rng);
-        if config.antithetic && moments.permutations() + 1 < count {
-            replay_marginals_paired_into(
-                game,
-                &scratch.order,
-                &mut scratch.state,
-                &mut scratch.state_rev,
-                &mut scratch.forward,
-                &mut scratch.reverse,
-                &mut counters,
-            );
-            // Preserve the batch's historical RNG stream: the next
-            // shuffle starts from the reversed arrangement, exactly as
-            // when the reverse replay flipped the buffer in place.
-            scratch.order.reverse();
-            moments.record_pair(&scratch.forward, &scratch.reverse);
-        } else {
-            replay_marginals_into(
-                game,
-                &scratch.order,
-                &mut scratch.state,
-                &mut scratch.forward,
-                &mut counters,
-            );
-            moments.record_single(&scratch.forward);
-        }
-    }
-    counters.batches = 1;
-    counters.wall_time_secs = start.elapsed().as_secs_f64();
-    (moments, counters)
 }
 
 /// Estimates Shapley values by batched parallel permutation sampling.
@@ -930,8 +883,7 @@ mod tests {
             cuts in prop::collection::vec(1usize..8, 1..6),
             seed in 0u64..1000,
         ) {
-            use rand::rngs::StdRng;
-            use rand::SeedableRng;
+            use rand::seq::SliceRandom;
             let g = demo_game();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut order: Vec<usize> = (0..5).collect();

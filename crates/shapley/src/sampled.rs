@@ -28,47 +28,6 @@ use crate::game::{
     replay_marginals_into, replay_marginals_paired_into, EvalCounters, IncrementalGame,
 };
 
-/// Reusable per-worker replay buffers: the permutation, the forward and
-/// reverse marginal vectors, and *two* incremental game states — one per
-/// antithetic chain, so a forward/reverse pair replays as two interleaved
-/// dependency chains ([`replay_marginals_paired_into`]) instead of two
-/// serialized passes. Allocated once per estimator (or per parallel
-/// batch) so the inner sampling loop performs **no heap allocation after
-/// warm-up** — shuffling mutates the permutation in place and the states
-/// are rewound via [`IncrementalGame::reset_state`] instead of rebuilt.
-#[derive(Debug)]
-pub struct SampleScratch<S> {
-    pub(crate) order: Vec<usize>,
-    pub(crate) forward: Vec<f64>,
-    pub(crate) reverse: Vec<f64>,
-    pub(crate) state: S,
-    pub(crate) state_rev: S,
-}
-
-impl<S> SampleScratch<S> {
-    /// Scratch sized for `game`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the game has no players.
-    pub fn for_game<G: IncrementalGame<State = S>>(game: &G) -> Self {
-        let n = game.player_count();
-        assert!(n > 0, "game must have at least one player");
-        Self {
-            order: (0..n).collect(),
-            forward: vec![0.0; n],
-            reverse: vec![0.0; n],
-            state: game.initial_state(),
-            state_rev: game.initial_state(),
-        }
-    }
-
-    /// Number of players the scratch covers.
-    pub fn player_count(&self) -> usize {
-        self.order.len()
-    }
-}
-
 /// Configuration for [`sampled_shapley`].
 #[derive(Debug, Clone, Copy)]
 pub struct SampleConfig {
@@ -305,54 +264,64 @@ pub fn sampled_shapley<G: IncrementalGame>(
     config: &SampleConfig,
     rng: &mut impl Rng,
 ) -> ShapleyEstimate {
-    let mut scratch = SampleScratch::for_game(game);
-    sampled_shapley_with_scratch(game, config, rng, &mut scratch)
-}
-
-/// [`sampled_shapley`] over caller-owned scratch buffers, letting a
-/// worker amortize its allocations across many estimations. The returned
-/// estimate is identical to [`sampled_shapley`]'s for the same RNG
-/// stream.
-///
-/// # Panics
-///
-/// Same conditions as [`sampled_shapley`], plus a scratch sized for a
-/// different player count.
-pub fn sampled_shapley_with_scratch<G: IncrementalGame>(
-    game: &G,
-    config: &SampleConfig,
-    rng: &mut impl Rng,
-    scratch: &mut SampleScratch<G::State>,
-) -> ShapleyEstimate {
-    let n = game.player_count();
-    assert!(n > 0, "game must have at least one player");
-    assert_eq!(scratch.player_count(), n, "scratch sized for another game");
     assert!(
         config.max_permutations > 0,
         "at least one permutation is required"
     );
+    let (moments, counters) = sample_permutations(
+        game,
+        config.antithetic,
+        config.max_permutations,
+        rng,
+        |moments| {
+            config.target_stderr > 0.0
+                && moments.permutations() >= config.min_permutations
+                && moments.max_std_error() <= config.target_stderr
+        },
+    );
+    moments.into_estimate(counters)
+}
 
+/// The permutation loop behind [`sampled_shapley`] and every batch of
+/// [`parallel_sampled_shapley`](crate::parallel::parallel_sampled_shapley):
+/// draws permutations from `rng` until `budget` are recorded or `stop`
+/// (consulted after each draw) returns `true`.
+///
+/// With `antithetic`, each draw is replayed together with its reversal
+/// as two interleaved chains ([`replay_marginals_paired_into`]) and
+/// recorded as one pair; the last draw of an odd budget is replayed
+/// alone. The buffers (permutation, marginals, and one game state per
+/// chain) are allocated once up front, so the loop performs no heap
+/// allocation after warm-up: shuffling mutates the permutation in place
+/// and the states are rewound via [`IncrementalGame::reset_state`].
+///
+/// # Panics
+///
+/// Panics if the game has no players.
+pub(crate) fn sample_permutations<G: IncrementalGame>(
+    game: &G,
+    antithetic: bool,
+    budget: usize,
+    rng: &mut impl Rng,
+    mut stop: impl FnMut(&Moments) -> bool,
+) -> (Moments, EvalCounters) {
     let start = Instant::now();
+    let n = game.player_count();
     let mut moments = Moments::zero(n);
     let mut counters = EvalCounters::default();
-
-    // `shuffle` permutes in place, so the stream depends on the starting
-    // order; rewind a reused scratch to the identity so the estimate is a
-    // function of the RNG alone.
-    for (i, slot) in scratch.order.iter_mut().enumerate() {
-        *slot = i;
-    }
-
-    while moments.permutations() < config.max_permutations {
-        scratch.order.shuffle(rng);
-        if config.antithetic && moments.permutations() + 1 < config.max_permutations {
+    let mut order: Vec<usize> = (0..n).collect();
+    let (mut forward, mut reverse) = (vec![0.0; n], vec![0.0; n]);
+    let (mut state, mut state_rev) = (game.initial_state(), game.initial_state());
+    while moments.permutations() < budget {
+        order.shuffle(rng);
+        if antithetic && moments.permutations() + 1 < budget {
             replay_marginals_paired_into(
                 game,
-                &scratch.order,
-                &mut scratch.state,
-                &mut scratch.state_rev,
-                &mut scratch.forward,
-                &mut scratch.reverse,
+                &order,
+                &mut state,
+                &mut state_rev,
+                &mut forward,
+                &mut reverse,
                 &mut counters,
             );
             // The paired kernel reads the reversal via indexing; the
@@ -360,29 +329,19 @@ pub fn sampled_shapley_with_scratch<G: IncrementalGame>(
             // permutes in place — the next draw's Fisher-Yates walk
             // starts from whatever arrangement the buffer holds, and the
             // historical (sequential-replay) RNG stream reversed here.
-            scratch.order.reverse();
-            moments.record_pair(&scratch.forward, &scratch.reverse);
+            order.reverse();
+            moments.record_pair(&forward, &reverse);
         } else {
-            replay_marginals_into(
-                game,
-                &scratch.order,
-                &mut scratch.state,
-                &mut scratch.forward,
-                &mut counters,
-            );
-            moments.record_single(&scratch.forward);
+            replay_marginals_into(game, &order, &mut state, &mut forward, &mut counters);
+            moments.record_single(&forward);
         }
-        if config.target_stderr > 0.0
-            && moments.permutations() >= config.min_permutations
-            && moments.max_std_error() <= config.target_stderr
-        {
+        if stop(&moments) {
             break;
         }
     }
-
     counters.batches = 1;
     counters.wall_time_secs = start.elapsed().as_secs_f64();
-    moments.into_estimate(counters)
+    (moments, counters)
 }
 
 /// [`sampled_shapley`] behind a [`CoalitionCache`](crate::cache::CoalitionCache):
@@ -404,62 +363,6 @@ pub fn sampled_shapley_cached<G: IncrementalGame>(
 ) -> ShapleyEstimate {
     let cached = CachedGame::new(game);
     sampled_shapley(&cached, config, rng)
-}
-
-/// Estimates Shapley values by *position-stratified* sampling: each drawn
-/// permutation serves every stratum (coalition size) at once — the prefix
-/// of length `s` ending at a player is a random `s`-subset *conditioned on
-/// the permutation*, and each player lands in exactly one stratum per
-/// pass, so across passes every (player, size) pair is visited with equal
-/// frequency. This is the permutation-prefix form of Castro-style
-/// stratification, **not** independent uniform `s`-subset draws per
-/// stratum: within one pass the prefixes are nested, which trades
-/// per-stratum independence for `n` strata per game evaluation sweep.
-/// Unlike [`sampled_shapley`] it balances the budget across coalition
-/// sizes, which helps games whose marginals vary sharply with size (e.g.
-/// the matching game's odd/even alternation).
-///
-/// Cost is `O(n² · samples_per_stratum)` coalition evaluations, so it
-/// suits moderate `n` with expensive positional variance rather than
-/// very large games.
-///
-/// # Panics
-///
-/// Panics if the game has no players or `samples_per_stratum == 0`.
-pub fn stratified_shapley<G: IncrementalGame>(
-    game: &G,
-    samples_per_stratum: usize,
-    rng: &mut impl Rng,
-) -> Vec<f64> {
-    let n = game.player_count();
-    assert!(n > 0, "game must have at least one player");
-    assert!(
-        samples_per_stratum > 0,
-        "need at least one sample per stratum"
-    );
-    let mut moments = Moments::zero(n);
-    let mut counters = EvalCounters::default();
-    let mut scratch = SampleScratch::for_game(game);
-    for _ in 0..samples_per_stratum {
-        // One permutation covers every stratum; the reversed pass swaps
-        // every player's stratum (position i ↔ n−1−i), halving the
-        // positional imbalance per sample. Both passes run as one
-        // interleaved paired replay; the explicit reverse preserves the
-        // historical RNG stream (shuffle permutes in place).
-        scratch.order.shuffle(rng);
-        replay_marginals_paired_into(
-            game,
-            &scratch.order,
-            &mut scratch.state,
-            &mut scratch.state_rev,
-            &mut scratch.forward,
-            &mut scratch.reverse,
-            &mut counters,
-        );
-        scratch.order.reverse();
-        moments.record_pair(&scratch.forward, &scratch.reverse);
-    }
-    moments.values()
 }
 
 fn stderr(sum: f64, sum_sq: f64, k: usize) -> f64 {
@@ -566,31 +469,6 @@ mod tests {
         );
         assert!(est.permutations < 100_000);
         assert!(est.max_std_error() <= 0.05);
-    }
-
-    #[test]
-    fn stratified_estimator_converges_and_is_efficient() {
-        let g = demo_game();
-        let exact = exact_shapley(&g).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let est = stratified_shapley(&g, 5_000, &mut rng);
-        for (e, s) in exact.iter().zip(&est) {
-            assert!((e - s).abs() < 0.05, "exact {e} stratified {s}");
-        }
-        // Telescoping marginals make every pass efficient.
-        use crate::coalition::Coalition;
-        use crate::game::Game;
-        let grand = g.value(&Coalition::grand(5));
-        let total: f64 = est.iter().sum();
-        assert!((total - grand).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn stratified_rejects_zero_samples() {
-        let g = demo_game();
-        let mut rng = StdRng::seed_from_u64(1);
-        let _ = stratified_shapley(&g, 0, &mut rng);
     }
 
     #[test]
@@ -869,40 +747,6 @@ mod tests {
         assert_eq!(seq_counters.cache_hits, pair_counters.cache_hits);
         assert_eq!(seq_counters.cache_misses, pair_counters.cache_misses);
         assert_eq!(seq_counters.coalition_evals, pair_counters.coalition_evals);
-    }
-
-    #[test]
-    fn scratch_reuse_matches_fresh_scratch() {
-        let g = demo_game();
-        let config = SampleConfig {
-            max_permutations: 64,
-            ..SampleConfig::default()
-        };
-        let mut scratch = SampleScratch::for_game(&g);
-        // First run warms the scratch; the second must be unaffected by
-        // the leftover permutation/state from the first.
-        let _ =
-            sampled_shapley_with_scratch(&g, &config, &mut StdRng::seed_from_u64(9), &mut scratch);
-        let reused =
-            sampled_shapley_with_scratch(&g, &config, &mut StdRng::seed_from_u64(10), &mut scratch);
-        let fresh = sampled_shapley(&g, &config, &mut StdRng::seed_from_u64(10));
-        for (a, b) in reused.values.iter().zip(&fresh.values) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "scratch sized for another game")]
-    fn mismatched_scratch_panics() {
-        let g = demo_game();
-        let small = PeakDemandGame::new(vec![vec![1.0], vec![2.0]]);
-        let mut scratch = SampleScratch::for_game(&small);
-        let _ = sampled_shapley_with_scratch(
-            &g,
-            &SampleConfig::default(),
-            &mut StdRng::seed_from_u64(0),
-            &mut scratch,
-        );
     }
 
     #[test]

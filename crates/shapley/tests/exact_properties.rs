@@ -1,12 +1,11 @@
-//! Property tests pinning the exact solvers against each other:
-//!
-//! * the Gray-code solver ([`exact_shapley_fast`]) agrees with plain
-//!   enumeration ([`exact_shapley`]) within 1e-9 on random table games
-//!   and random peak-demand games (n ≤ 10);
-//! * the parallel solver ([`parallel_exact_shapley`]) is **bit-identical**
-//!   to the serial one at 1, 2, and 8 threads.
+//! Property tests pinning the exact solvers against each other: the
+//! Gray-code solver ([`exact_shapley_fast`]) agrees with plain
+//! enumeration ([`exact_shapley`]) within 1e-9 on random table games and
+//! random peak-demand games (n ≤ 10, up to 96 time steps), and its
+//! running-peak toggle state agrees with the dense re-scan reference
+//! ([`ScanPeak`]).
 
-use fairco2_shapley::exact::{exact_shapley, exact_shapley_fast, parallel_exact_shapley};
+use fairco2_shapley::exact::{exact_shapley, exact_shapley_fast};
 use fairco2_shapley::game::{PeakDemandGame, ScanPeak, TableGame};
 use proptest::prelude::*;
 
@@ -58,7 +57,7 @@ proptest! {
     #[test]
     fn gray_code_matches_plain_on_random_peak_games(
         n in 1usize..=10,
-        steps in 1usize..=6,
+        steps in 1usize..=96,
         pool in prop::collection::vec(0u8..20, 4..32),
     ) {
         let g = peak_game(n, steps, &pool);
@@ -67,65 +66,11 @@ proptest! {
         for (a, b) in plain.iter().zip(&fast) {
             prop_assert!((a - b).abs() <= 1e-9, "plain {a} vs gray {b}");
         }
-        // The segment-tree toggle path must agree with the original dense
-        // re-scan path on the same game.
+        // The running-peak toggle path must agree with the dense re-scan
+        // path on the same game.
         let scan = exact_shapley_fast(&ScanPeak(g)).unwrap();
         for (a, b) in fast.iter().zip(&scan) {
-            prop_assert!((a - b).abs() <= 1e-9, "tree {a} vs scan {b}");
+            prop_assert!((a - b).abs() <= 1e-9, "running peak {a} vs scan {b}");
         }
-    }
-
-    #[test]
-    fn parallel_exact_is_bit_identical_to_serial(
-        n in 1usize..=10,
-        steps in 1usize..=5,
-        pool in prop::collection::vec(0u8..20, 4..32),
-    ) {
-        let g = peak_game(n, steps, &pool);
-        let serial = exact_shapley(&g).unwrap();
-        for threads in [1usize, 2, 8] {
-            let parallel = parallel_exact_shapley(&g, threads).unwrap();
-            prop_assert_eq!(parallel.len(), serial.len());
-            for (a, b) in parallel.iter().zip(&serial) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "threads = {}", threads);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_exact_is_bit_identical_on_table_games(
-        n in 1usize..=10,
-        pool in prop::collection::vec(-1000i32..1000, 8..64),
-    ) {
-        let g = table_game(n, &pool);
-        let serial = exact_shapley(&g).unwrap();
-        for threads in [1usize, 2, 8] {
-            let parallel = parallel_exact_shapley(&g, threads).unwrap();
-            for (a, b) in parallel.iter().zip(&serial) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "threads = {}", threads);
-            }
-        }
-    }
-}
-
-/// A single larger case where the table spans several per-worker fill
-/// ranges and accumulation blocks, exercising the seams that the small
-/// proptest cases cannot reach (2¹⁷ masks > one 2¹⁶-mask accumulation
-/// block, and four workers each own a 2¹⁵-mask fill range).
-#[test]
-fn parallel_exact_crosses_chunk_boundaries() {
-    let n = 17;
-    let demand: Vec<Vec<f64>> = (0..n)
-        .map(|p: usize| {
-            (0..4)
-                .map(|t: usize| ((p * 5 + t * 3) % 7) as f64)
-                .collect()
-        })
-        .collect();
-    let g = PeakDemandGame::new(demand);
-    let serial = exact_shapley(&g).unwrap();
-    let parallel = parallel_exact_shapley(&g, 4).unwrap();
-    for (a, b) in parallel.iter().zip(&serial) {
-        assert_eq!(a.to_bits(), b.to_bits());
     }
 }
