@@ -60,7 +60,8 @@ use fairco2::demand::{DemandAttributor, DemandProportional, RupBaseline, Tempora
 use fairco2::metrics::{summarize, DeviationSummary};
 use fairco2_bench::surrogate::print_surrogate;
 use fairco2_bench::{
-    print_network, run_network, run_surrogate, write_json, Args, NetworkStudy, SurrogateStudy,
+    peak_rss_kib, print_network, run_network, run_surrogate, write_json, Args, NetworkStudy,
+    SurrogateStudy,
 };
 use fairco2_cluster::policy::FirstFit;
 use fairco2_cluster::{run_sharded, Job, JobStream, Simulator};
@@ -470,13 +471,6 @@ fn vm_jobs(vms: &[fairco2_trace::vms::VmEvent]) -> Vec<Job> {
             arrival_s: vm.start.max(0) as f64,
         })
         .collect()
-}
-
-/// `VmHWM` (peak resident set) in KiB from `/proc/self/status`.
-fn peak_rss_kib() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// Command-line flags this binary accepts.

@@ -1,9 +1,10 @@
 //! **serve** — the always-on attribution service, run from the command
 //! line: a deterministic demand stream is ingested continuously while
 //! tenant threads fire billing-query batches at the latest epoch
-//! snapshot, then a load summary is printed and the process exits
-//! cleanly (the CI smoke test asserts nonzero throughput and a zero
-//! exit code).
+//! snapshot, then a load summary — ending with the process's peak RSS
+//! (`VmHWM`) — is printed and the process exits cleanly (the CI smoke
+//! test asserts nonzero throughput, a zero exit code, and a peak RSS
+//! bound on a long stream of tiny windows).
 //!
 //! ```text
 //! serve --duration-ms 2000 --tenants 2 --batch 256 \
@@ -15,7 +16,7 @@
 //! (tmp + fsync + rename + directory fsync) to `dir/window-*.json`
 //! before its epoch is published.
 
-use fairco2_bench::Args;
+use fairco2_bench::{peak_rss_kib, Args};
 use fairco2_serve::{run_load, LoadOptions, ServiceConfig};
 
 /// Command-line flags this binary accepts.
@@ -95,6 +96,10 @@ fn main() {
         "serve: {:.2} engine ops/sample (amortized O(log n) gauge)",
         report.ops_per_sample
     );
+    match peak_rss_kib() {
+        Some(kib) => println!("serve: peak RSS {kib} KiB"),
+        None => println!("serve: peak RSS unavailable"),
+    }
 
     if report.windows_closed == 0 || report.queries_answered == 0 {
         eprintln!("serve: load run made no progress (no windows closed or no queries answered)");

@@ -28,3 +28,11 @@ pub use resume::{exit_on_engine_error, study_options, CHECKPOINT_FLAGS, DEFAULT_
 pub use sampling::{print_report, sample_schedule, SamplingReport};
 pub use scale::{run_azure_scale, AzureScaleReport, AzureScaleStudy, ScaleSnapshot};
 pub use surrogate::{run_surrogate, SurrogateReport, SurrogateStudy, Tolerancepoint};
+
+/// `VmHWM` (peak resident set) in KiB from `/proc/self/status`; `None`
+/// where the kernel does not report it.
+pub fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}

@@ -7,24 +7,23 @@
 //!
 //! * [`service`] — the single-writer [`AttributionService`]: samples
 //!   stream into the [`IncrementalCascade`](fairco2_shapley::incremental)
-//!   at amortized `O(log n)` per sample; every closed window publishes
-//!   an immutable epoch snapshot via one atomic pointer swap, so
-//!   readers never take a lock. Closed windows are optionally persisted
-//!   through the checkpoint layer's durable-write helper (tmp + fsync +
-//!   rename + parent-directory fsync).
-//! * [`epoch`] — the read side: [`EpochSnapshot`] answers billing
-//!   queries over a segmented carbon prefix, bit-identical to a
-//!   from-scratch rebuild of the same windows at any thread count;
-//!   batches shard over `run_parallel` worker threads with an in-order
-//!   merge.
+//!   at amortized `O(log n)` per sample; every closed window is
+//!   appended to one write-once window log and published by one atomic
+//!   count store, so publishing costs `O(1)` amortized in time and
+//!   memory and readers never take a lock. Closed windows are
+//!   optionally persisted through the checkpoint layer's durable-write
+//!   helper (tmp + fsync + rename + parent-directory fsync).
+//! * [`epoch`] — the read side: [`EpochSnapshot`], a borrowed view of
+//!   the first `k` windows of the log, answers billing queries over a
+//!   segmented carbon prefix, bit-identical to a from-scratch rebuild
+//!   of the same windows at any thread count; batches shard over
+//!   `run_parallel` worker threads with an in-order merge.
 //! * [`load`] — the deterministic ingest + query load harness behind
 //!   the `serve` binary and `perf_report --section service`.
 //!
-//! This crate deliberately does *not* carry
-//! `#![forbid(unsafe_code)]` like the solver crates: the lock-free
-//! reader needs exactly one audited `unsafe` dereference
-//! ([`ServiceHandle::epoch`]), made sound by never freeing published
-//! epochs while the service is alive.
+//! The log's slots are write-once `OnceLock`s behind a published count,
+//! so the lock-free reader is plain safe Rust; like every library crate
+//! in the workspace, this one carries `#![forbid(unsafe_code)]`.
 //!
 //! # Example
 //!
@@ -45,6 +44,7 @@
 //! assert!(billed > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod epoch;

@@ -43,7 +43,7 @@ pub struct LoadOptions {
     /// Billing queries per batch.
     pub batch: usize,
     /// Ingestion stops after this many windows (the query side keeps
-    /// running); bounds snapshot memory on unthrottled CPUs.
+    /// running); bounds the window log's memory on unthrottled CPUs.
     pub max_windows: u64,
     /// Demand / query randomness seed.
     pub seed: u64,

@@ -2,36 +2,33 @@
 //!
 //! One writer owns the [`IncrementalCascade`] and pushes 5-minute demand
 //! samples as they arrive; any number of reader threads hold cloned
-//! [`ServiceHandle`]s and query concurrently. The two sides meet at a
-//! single `AtomicPtr` holding the latest [`EpochSnapshot`]:
+//! [`ServiceHandle`]s and query concurrently. The two sides meet at one
+//! append-only, write-once window log shared by every epoch:
 //!
-//! * **Publish** (writer, once per closed window): build the next
-//!   snapshot off to the side, move it into the epoch arena (a `Mutex`
-//!   the writer alone locks), then `store(Release)` the pointer. The
-//!   heap allocation does not move when the owning `Box` does, so the
-//!   pointer stays valid.
-//! * **Read** (any thread, every query): `load(Acquire)` and
-//!   dereference. No lock, no reference count traffic, no retry loop —
-//!   the `Release`/`Acquire` pair makes every write that built the
-//!   snapshot visible.
+//! * **Publish** (writer, once per closed window): fold the window's
+//!   `cum_before`, write it into the log's next slot, then
+//!   `store(Release)` the published count `k + 1`. Nothing earlier is
+//!   copied, so publishing costs the same at any epoch.
+//! * **Read** (any thread, every query): `load(Acquire)` the count and
+//!   borrow the first `k` windows as an [`EpochSnapshot`]. No lock, no
+//!   reference count traffic, no retry loop — the `Release`/`Acquire`
+//!   pair makes every slot below the count visible.
 //!
-//! Snapshots are retained for the service's lifetime (the arena only
-//! grows), so a reader can never observe a freed epoch: that retention
-//! is what makes the single unsafe dereference in
-//! [`ServiceHandle::epoch`] sound, and it doubles as the audit trail —
-//! any recorded `(epoch, query, answer)` triple can be re-checked later
-//! against the exact snapshot that produced it.
+//! Slots are written once and never freed while the service is alive,
+//! so every past epoch stays readable: [`ServiceHandle::epoch_at`] is
+//! the audit trail — any recorded `(epoch, query, answer)` triple can be
+//! re-checked later against the exact epoch that produced it.
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use fairco2_montecarlo::{write_durable_atomic, CheckpointError, WriteFault};
 use fairco2_shapley::incremental::{IncrementalCascade, WindowAttribution};
 use fairco2_trace::series::SeriesError;
 
-use crate::epoch::{extend_epoch, EpochSnapshot};
+use crate::epoch::{EpochSnapshot, WindowLog, WindowSegment};
 
 /// Static configuration of an attribution service.
 #[derive(Debug, Clone)]
@@ -110,23 +107,21 @@ impl From<CheckpointError> for ServeError {
 
 /// State shared between the writer and every reader handle.
 struct Shared {
-    /// The latest published epoch; never null (epoch 0 is published at
-    /// construction) and always points into `epochs`.
-    latest: AtomicPtr<EpochSnapshot>,
-    /// The epoch arena: owns every snapshot ever published, in order.
-    /// Only the writer locks it; it only grows, so pointers handed to
-    /// `latest` stay valid for the service's lifetime. The boxes are
-    /// load-bearing: the vec may reallocate, the snapshots must not move.
-    #[allow(clippy::vec_box)]
-    epochs: Mutex<Vec<Box<EpochSnapshot>>>,
+    /// Every closed window; its published count is the latest epoch.
+    log: WindowLog,
     /// Total samples ingested (monitoring).
     ingested: AtomicU64,
+    /// Samples rejected as [`ServeError::InvalidSample`] (monitoring).
+    quarantined: AtomicU64,
 }
 
 /// The always-on attribution service (the single writer).
 pub struct AttributionService {
     config: ServiceConfig,
     engine: IncrementalCascade,
+    /// `cum_before` of the next window to close: the left-to-right fold
+    /// of every published window's total.
+    next_cum_before: f64,
     shared: Arc<Shared>,
 }
 
@@ -152,22 +147,15 @@ impl AttributionService {
             fs::create_dir_all(dir)
                 .map_err(|e| CheckpointError::Io(format!("create {}: {e}", dir.display())))?;
         }
-        let zero = Box::new(EpochSnapshot {
-            epoch: 0,
-            start: config.start,
-            step: config.step,
-            window_samples: engine.window_samples(),
-            windows: Vec::new(),
-        });
-        let ptr: *const EpochSnapshot = &*zero;
         let shared = Arc::new(Shared {
-            latest: AtomicPtr::new(ptr.cast_mut()),
-            epochs: Mutex::new(vec![zero]),
+            log: WindowLog::new(config.start, config.step, engine.window_samples()),
             ingested: AtomicU64::new(0),
+            quarantined: AtomicU64::new(0),
         });
         Ok(Self {
             config,
             engine,
+            next_cum_before: 0.0,
             shared,
         })
     }
@@ -186,14 +174,15 @@ impl AttributionService {
     /// # Errors
     ///
     /// [`ServeError::InvalidSample`] if `value` is negative or
-    /// non-finite — the sample is dropped (and not counted in
-    /// [`ServiceHandle::ingested`]), leaving the stream as if it had
-    /// never arrived. [`ServeError::Persist`] if the configured durable
-    /// write fails — the window is *not* published in that case
-    /// (at-least-once persistence: nothing is queryable that is not on
-    /// disk).
+    /// non-finite — the sample is dropped (counted in
+    /// [`ServiceHandle::quarantined`], not [`ServiceHandle::ingested`]),
+    /// leaving the stream as if it had never arrived.
+    /// [`ServeError::Persist`] if the configured durable write fails —
+    /// the window is *not* published in that case (at-least-once
+    /// persistence: nothing is queryable that is not on disk).
     pub fn ingest(&mut self, value: f64) -> Result<Option<u64>, ServeError> {
         if !(value.is_finite() && value >= 0.0) {
+            self.shared.quarantined.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::InvalidSample(value));
         }
         let closed = self.engine.push(value);
@@ -211,19 +200,15 @@ impl AttributionService {
         Ok(Some(self.publish(window)))
     }
 
-    /// Builds the next snapshot from the latest one plus the freshly
-    /// closed window, moves it into the arena, and releases the pointer.
-    fn publish(&self, window: WindowAttribution) -> u64 {
-        let mut epochs = self.shared.epochs.lock().expect("epoch arena poisoned");
-        let prev = epochs.last().expect("epoch 0 exists from construction");
-        let next = Box::new(extend_epoch(prev, window));
-        let epoch = next.epoch;
-        let ptr: *const EpochSnapshot = &*next;
-        epochs.push(next);
-        // Release: pairs with the Acquire load in `ServiceHandle::epoch`
-        // so readers see the fully built snapshot.
-        self.shared.latest.store(ptr.cast_mut(), Ordering::Release);
-        epoch
+    /// Extends the segmented prefix by one left-to-right fold step and
+    /// appends the window to the log, publishing the next epoch.
+    fn publish(&mut self, window: WindowAttribution) -> u64 {
+        let cum_before = self.next_cum_before;
+        self.next_cum_before = cum_before + window.carbon_prefix[self.engine.window_samples()];
+        self.shared.log.push(WindowSegment {
+            attribution: window,
+            cum_before,
+        })
     }
 
     /// Samples ingested into the open window so far.
@@ -249,26 +234,30 @@ impl AttributionService {
 }
 
 impl ServiceHandle {
-    /// The latest published epoch. Lock-free: one `Acquire` load and a
-    /// dereference.
-    pub fn epoch(&self) -> &EpochSnapshot {
-        let ptr = self.shared.latest.load(Ordering::Acquire);
-        // SAFETY: `ptr` was produced from a `Box<EpochSnapshot>` that
-        // was moved into the epoch arena before the `Release` store
-        // (heap contents do not move with the box), the arena only ever
-        // grows, and it lives inside `Shared`, which outlives this
-        // handle's `Arc`. The returned borrow is tied to `&self`, which
-        // keeps the `Arc` — and therefore the snapshot — alive. The
-        // `Acquire`/`Release` pair orders the snapshot's construction
-        // before any read through this reference. Snapshots are never
-        // mutated after publication, so shared `&` access is race-free.
-        unsafe { &*ptr }
+    /// The latest published epoch. Lock-free: one `Acquire` load.
+    pub fn epoch(&self) -> EpochSnapshot<'_> {
+        let log = &self.shared.log;
+        log.snapshot(log.published())
+    }
+
+    /// Epoch `k`: the first `k` windows, answering exactly as they did
+    /// when `k` was the latest epoch; `None` if the writer has not
+    /// published it yet. Lock-free, like [`ServiceHandle::epoch`].
+    pub fn epoch_at(&self, k: u64) -> Option<EpochSnapshot<'_>> {
+        let log = &self.shared.log;
+        (k <= log.published()).then(|| log.snapshot(k))
     }
 
     /// Total samples ingested by the writer (monitoring; `Relaxed` — a
     /// freshness gauge, not a synchronization edge).
     pub fn ingested(&self) -> u64 {
         self.shared.ingested.load(Ordering::Relaxed)
+    }
+
+    /// Samples the writer rejected as [`ServeError::InvalidSample`]
+    /// (monitoring; `Relaxed`, like [`ServiceHandle::ingested`]).
+    pub fn quarantined(&self) -> u64 {
+        self.shared.quarantined.load(Ordering::Relaxed)
     }
 }
 
@@ -277,11 +266,29 @@ impl ServiceHandle {
 ///
 /// # Errors
 ///
-/// [`ServeError::Persist`] if the file is unreadable or malformed.
+/// [`ServeError::Persist`] if the file is unreadable or malformed: not
+/// a window, a carbon prefix that is not one entry longer than a
+/// non-empty leaf intensity, or a non-finite value.
 pub fn read_persisted_window(path: &std::path::Path) -> Result<WindowAttribution, ServeError> {
     let text = fs::read_to_string(path)
         .map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))?;
     let window: WindowAttribution =
         serde_json::from_str(&text).map_err(|e| CheckpointError::Malformed(e.0))?;
+    let shaped = !window.leaf_intensity.is_empty()
+        && window.carbon_prefix.len() == window.leaf_intensity.len() + 1;
+    let finite = [window.total_carbon, window.stranded_carbon]
+        .iter()
+        .chain(&window.carbon_prefix)
+        .chain(&window.leaf_intensity)
+        .all(|v| v.is_finite());
+    if !(shaped && finite) {
+        return Err(CheckpointError::Malformed(format!(
+            "{}: not a window attribution ({} prefix entries, {} leaf intensities, finite: {finite})",
+            path.display(),
+            window.carbon_prefix.len(),
+            window.leaf_intensity.len()
+        ))
+        .into());
+    }
     Ok(window)
 }

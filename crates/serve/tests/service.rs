@@ -6,6 +6,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
+use fairco2_montecarlo::CheckpointError;
 use fairco2_serve::{
     demand_sample, read_persisted_window, AttributionService, EpochSnapshot, ServeError,
     ServiceConfig,
@@ -279,7 +280,8 @@ fn persisted_windows_round_trip_bit_for_bit() {
     let handle = service.handle();
     let epoch = handle.epoch();
     assert_eq!(epoch.epoch, 3);
-    for (k, segment) in epoch.windows.iter().enumerate() {
+    for k in 0..epoch.epoch as usize {
+        let segment = epoch.window(k).unwrap();
         let path = dir.join(format!("window-{k:08}.json"));
         let restored =
             read_persisted_window(&path).unwrap_or_else(|e| panic!("window {k} unreadable: {e}"));
@@ -320,12 +322,91 @@ fn persisted_windows_round_trip_bit_for_bit() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A persisted window that does not parse (truncated) or parses but
+/// could not be queried (a carbon prefix that does not match its leaf
+/// intensities, or an empty one) is a typed `Malformed` error, not a
+/// later panic.
+#[test]
+fn malformed_persisted_windows_are_typed_errors() {
+    let dir = std::env::temp_dir().join(format!("fairco2-serve-malformed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServiceConfig {
+        persist_dir: Some(dir.clone()),
+        ..test_config(vec![2], 3)
+    };
+    let mut service = AttributionService::start(config.clone()).unwrap();
+    for i in 0..config.window_samples() as u64 {
+        service.ingest(demand_sample(i, 3)).unwrap();
+    }
+    let good = dir.join("window-00000000.json");
+    let mut window = read_persisted_window(&good).unwrap();
+    let text = std::fs::read_to_string(&good).unwrap();
+
+    let truncated = dir.join("truncated.json");
+    std::fs::write(&truncated, &text[..text.len() / 2]).unwrap();
+    window.carbon_prefix.pop();
+    let mismatched = dir.join("mismatched.json");
+    std::fs::write(&mismatched, serde_json::to_string(&window).unwrap()).unwrap();
+    window.carbon_prefix.clear();
+    window.leaf_intensity.clear();
+    let empty = dir.join("empty.json");
+    std::fs::write(&empty, serde_json::to_string(&window).unwrap()).unwrap();
+
+    for path in [&truncated, &mismatched, &empty] {
+        match read_persisted_window(path) {
+            Err(ServeError::Persist(CheckpointError::Malformed(_))) => {}
+            other => panic!("{} must be malformed, got {other:?}", path.display()),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The audit trail: a view held at epoch `k` and a fresh `epoch_at(k)`
+/// both keep answering exactly as that epoch did, while the writer
+/// publishes a thousand more windows behind them.
+#[test]
+fn past_epochs_stay_answerable_while_the_log_grows() {
+    let config = test_config(vec![2], 1);
+    let w = config.window_samples() as u64;
+    let seed = 53;
+    let k = 37u64;
+    let mut service = AttributionService::start(config.clone()).unwrap();
+    let handle = service.handle();
+    let mut next = 0u64;
+    while service.windows_closed() < k {
+        service.ingest(demand_sample(next, seed)).unwrap();
+        next += 1;
+    }
+    let held = handle.epoch();
+    assert_eq!(held.epoch, k);
+    let total = k + 1_000;
+    while next < total * w {
+        service.ingest(demand_sample(next, seed)).unwrap();
+        next += 1;
+    }
+    assert_eq!(handle.epoch().epoch, total);
+
+    let rebuild = Rebuild::new(&config, k, seed);
+    let again = handle.epoch_at(k).unwrap();
+    for view in [held, again] {
+        assert_eq!((view.epoch, view.samples()), (k, k as usize * w as usize));
+        for i in 0..=view.samples() {
+            assert_eq!(view.prefix_at(i).to_bits(), rebuild.prefix_at(i).to_bits());
+        }
+        for q in query_mix(&config, k, 11) {
+            assert_eq!(view.carbon(q).to_bits(), rebuild.carbon(q).to_bits());
+        }
+    }
+    assert!(handle.epoch_at(total).is_some());
+    assert!(handle.epoch_at(total + 1).is_none());
+}
+
 #[test]
 fn empty_epoch_answers_zero_everywhere() {
     let config = test_config(vec![2], 2);
     let service = AttributionService::start(config.clone()).unwrap();
     let handle = service.handle();
-    let epoch: &EpochSnapshot = handle.epoch();
+    let epoch: EpochSnapshot = handle.epoch();
     assert_eq!(epoch.epoch, 0);
     assert_eq!(epoch.samples(), 0);
     for q in query_mix(&config, 1, 5) {
@@ -362,6 +443,8 @@ fn invalid_samples_are_rejected_and_leave_the_stream_untouched() {
     }
     let (clean, dirty) = (clean.handle(), dirty.handle());
     assert_eq!(dirty.ingested(), clean.ingested());
+    assert_eq!(dirty.quarantined(), 9);
+    assert_eq!(clean.quarantined(), 0);
     let (a, b) = (clean.epoch(), dirty.epoch());
     assert_eq!((a.epoch, a.samples()), (b.epoch, b.samples()));
     for i in 0..=a.samples() {
