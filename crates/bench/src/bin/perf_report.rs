@@ -2,8 +2,11 @@
 //! optimizations of this PR, written to `results/BENCH_shapley.json`:
 //!
 //! * exact enumeration (`exact_shapley`) across player counts;
-//! * cached versus uncached permutation sampling
-//!   (`sampled_shapley_cached`), with eval counts and cache hit rate;
+//! * cached versus uncached permutation sampling, with eval counts and
+//!   cache hit rate: whole-run caches (`sampled_shapley_cached`) at 12
+//!   and 16 players, and the fairness audits' regime (one-worker
+//!   `parallel_sampled_shapley`, a cache per batch, 48-step games) at 32
+//!   and 64 players, gated on one cache lookup per replay step;
 //! * the Gray-code table fill through the running-peak toggle state
 //!   (`PeakFill`) versus the dense re-scan reference (`ScanPeak`);
 //! * a `monte_carlo` section timing the Figure-7 demand study end to end —
@@ -86,6 +89,7 @@ use fairco2_shapley::kernels::{
     hierarchy_bounds, level_sums_lanes, level_sums_scalar, prefix_blocked, prefix_scalar,
     CANONICAL_LANES, PREFIX_BLOCK,
 };
+use fairco2_shapley::parallel::{parallel_sampled_shapley, ParallelConfig};
 use fairco2_shapley::sampled::{sampled_shapley, sampled_shapley_cached, SampleConfig};
 use fairco2_shapley::temporal::{TemporalAttribution, TemporalShapley};
 use fairco2_trace::scale::ScaleVmConfig;
@@ -112,9 +116,16 @@ struct ExactRow {
     serial_secs: f64,
 }
 
+/// Uncached against cached permutation sampling of one peak game.
 #[derive(Serialize)]
 struct SamplingRow {
+    /// `sampled_shapley` (one whole-run cache) or
+    /// `parallel_sampled_shapley` (one worker, a fresh cache per
+    /// 64-permutation batch, as the fairness audits run it).
+    engine: &'static str,
     players: usize,
+    /// Time steps of the peak game.
+    steps: usize,
     permutations: usize,
     uncached_secs: f64,
     cached_secs: f64,
@@ -421,6 +432,19 @@ fn baseline_demand_trial(study: &DemandStudy, trial: usize) -> [DeviationSummary
     ]
 }
 
+fn print_sampling_row(row: &SamplingRow) {
+    println!(
+        "sampling   n={:<2}  uncached {:.4}s / {} evals  cached {:.4}s / {} evals  ({:.1}% hits, {})",
+        row.players,
+        row.uncached_secs,
+        row.uncached_evals,
+        row.cached_secs,
+        row.cached_evals,
+        100.0 * row.cache_hit_rate,
+        row.engine
+    );
+}
+
 /// Best wall-clock over `trials` runs of `f`.
 fn best_secs<T>(trials: usize, mut f: impl FnMut() -> T) -> f64 {
     let mut best = f64::INFINITY;
@@ -568,7 +592,9 @@ fn main() {
             let uncached = sampled_shapley(&game, &config, &mut StdRng::seed_from_u64(seed));
             let cached = sampled_shapley_cached(&game, &config, &mut StdRng::seed_from_u64(seed));
             let row = SamplingRow {
+                engine: "sampled_shapley",
                 players: n,
+                steps: 8,
                 permutations,
                 uncached_secs,
                 cached_secs,
@@ -576,15 +602,48 @@ fn main() {
                 cached_evals: cached.counters.coalition_evals,
                 cache_hit_rate: cached.counters.cache_hit_rate(),
             };
-            println!(
-            "sampling   n={:<2}  uncached {:.4}s / {} evals  cached {:.4}s / {} evals  ({:.1}% hits)",
-            row.players,
-            row.uncached_secs,
-            row.uncached_evals,
-            row.cached_secs,
-            row.cached_evals,
-            100.0 * row.cache_hit_rate
-        );
+            print_sampling_row(&row);
+            sampling.push(row);
+        }
+        // The audit regime: schedules above the exact solver's cap,
+        // sampled the way `sample_schedule` does (batch-local caches),
+        // at one worker. Sampling never enumerates, so `--max-n` does not
+        // apply and these rows always run.
+        for n in [32usize, 64] {
+            let steps = 48;
+            let game = peak_game(n, steps, seed + 300 + n as u64);
+            let parallel = |coalition_cache| ParallelConfig {
+                sample: config,
+                threads: 1,
+                coalition_cache,
+                ..ParallelConfig::default()
+            };
+            let (uncached_secs, cached_secs) = best_secs_pair(
+                trials,
+                || parallel_sampled_shapley(&game, &parallel(false), seed),
+                || parallel_sampled_shapley(&game, &parallel(true), seed),
+            );
+            let uncached = parallel_sampled_shapley(&game, &parallel(false), seed).estimate;
+            let cached = parallel_sampled_shapley(&game, &parallel(true), seed).estimate;
+            let lookups = (n * permutations) as u64;
+            assert_eq!(
+                cached.counters.cache_hits + cached.counters.cache_misses,
+                lookups,
+                "n={n}: every replay step is one cache lookup"
+            );
+            assert_eq!(uncached.counters.coalition_evals, lookups);
+            let row = SamplingRow {
+                engine: "parallel_sampled_shapley",
+                players: n,
+                steps,
+                permutations,
+                uncached_secs,
+                cached_secs,
+                uncached_evals: uncached.counters.coalition_evals,
+                cached_evals: cached.counters.coalition_evals,
+                cache_hit_rate: cached.counters.cache_hit_rate(),
+            };
+            print_sampling_row(&row);
             sampling.push(row);
         }
 

@@ -9,6 +9,20 @@
 //! into the [`IncrementalGame`] replay path so repeated permutation
 //! prefixes stop re-evaluating the game.
 //!
+//! # Storage
+//!
+//! The cache's behaviour is defined on a *logical* table of `2^bits`
+//! slots: a SplitMix home slot, a 16-slot linear probe, and home-slot
+//! displacement once the probe is exhausted. That geometry decides every
+//! hit, miss and eviction. Only occupied logical slots are stored, in a
+//! small open-addressed side table keyed by logical slot index that
+//! doubles at load ½, so memory is proportional to the entries rather than
+//! to the logical capacity. A sampler batch of 64 permutations over a
+//! 64-player game touches ~3,000 slots of a 2²⁰-slot logical table: the
+//! side table holds them in ~200 KiB instead of a 16 MiB dense array that
+//! every batch would page in afresh. When every logical slot is full the
+//! side table maps slots one to one and costs 1.5× a dense table.
+//!
 //! # Determinism
 //!
 //! A cache hit returns the value computed by the *first* permutation that
@@ -20,7 +34,8 @@
 //! game's own accumulation. Within one run the cache is deterministic:
 //! the same permutation schedule produces the same hit pattern and the
 //! same estimate, independent of thread count when each worker owns its
-//! cache.
+//! cache. The side table's size never changes which logical slot holds a
+//! key, so it never changes a hit, a miss or an estimate.
 
 use std::cell::{Cell, RefCell};
 
@@ -32,6 +47,18 @@ use crate::game::{Game, GameStats, IncrementalGame};
 /// than rejection) keeps recent coalitions warm when the table saturates.
 const PROBE_LIMIT: usize = 16;
 
+/// Side-table slots of a cache built without an entry estimate.
+const MIN_SIDE_SLOTS: usize = 16;
+
+/// One occupied logical slot of a [`CoalitionCache`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    /// Logical slot index plus one; 0 marks a vacant side-table slot.
+    tag: u32,
+    key: u64,
+    value: f64,
+}
+
 /// An open-addressing memo table mapping coalition bitmasks (`u64`) to
 /// characteristic values.
 ///
@@ -39,37 +66,56 @@ const PROBE_LIMIT: usize = 16;
 /// [`Game`] contract, so the empty coalition never needs an entry.
 #[derive(Debug, Clone)]
 pub struct CoalitionCache {
-    keys: Vec<u64>,
-    values: Vec<f64>,
-    /// Capacity minus one; capacity is a power of two.
+    /// Occupied logical slots, open-addressed by logical index; the
+    /// length is a power of two no larger than the logical capacity.
+    entries: Vec<Entry>,
+    /// Logical capacity minus one; logical capacity is a power of two.
     index_mask: usize,
     len: usize,
 }
 
 impl CoalitionCache {
-    /// A cache with `1 << bits` slots.
+    /// A cache with `1 << bits` logical slots.
     ///
     /// # Panics
     ///
-    /// Panics if `bits` is 0 or exceeds 30 (an 8 GiB table is a config
-    /// error, not a cache).
+    /// Panics if `bits` is 0 or exceeds 30 (a billion-slot table is a
+    /// config error, not a cache).
     pub fn with_bits(bits: u8) -> Self {
+        Self::with_bits_and_entries(bits, 0)
+    }
+
+    /// A cache with `1 << bits` logical slots whose storage is sized for
+    /// about `entries` live entries up front.
+    fn with_bits_and_entries(bits: u8, entries: usize) -> Self {
         assert!((1..=30).contains(&bits), "cache bits must be in 1..=30");
         let cap = 1usize << bits;
+        let side = entries
+            .saturating_mul(2)
+            .max(MIN_SIDE_SLOTS)
+            .checked_next_power_of_two()
+            .unwrap_or(cap)
+            .min(cap);
         Self {
-            keys: vec![0; cap],
-            values: vec![0.0; cap],
+            entries: vec![Entry::default(); side],
             index_mask: cap - 1,
             len: 0,
         }
     }
 
-    /// A capacity suited to an `n`-player game: enough slots for every
-    /// coalition when `2ⁿ` is small, capped at `2²⁰` (16 MiB) beyond.
+    /// A logical capacity suited to an `n`-player game: enough slots for
+    /// every coalition when `2ⁿ` is small, capped at `2²⁰` logical slots
+    /// beyond. Memory follows the live entries, not this capacity.
     pub fn for_players(n: usize) -> Self {
+        Self::for_players_expecting(n, 0)
+    }
+
+    /// [`for_players`](Self::for_players) with storage presized for about
+    /// `entries` live entries (a sampler batch knows its bound).
+    pub(crate) fn for_players_expecting(n: usize, entries: usize) -> Self {
         // One spare bit over 2^n keeps the load factor below ½ when the
         // whole coalition lattice is visited.
-        Self::with_bits((n as u8 + 1).clamp(8, 20))
+        Self::with_bits_and_entries((n as u8 + 1).clamp(8, 20), entries)
     }
 
     /// Number of live entries.
@@ -82,14 +128,14 @@ impl CoalitionCache {
         self.len == 0
     }
 
-    /// Slot count.
+    /// Logical slot count (the probe geometry), not the memory held.
     pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.index_mask + 1
     }
 
     /// Drops every entry, keeping the allocation.
     pub fn clear(&mut self) {
-        self.keys.fill(0);
+        self.entries.fill(Entry::default());
         self.len = 0;
     }
 
@@ -102,6 +148,78 @@ impl CoalitionCache {
         (h ^ (h >> 31)) as usize & self.index_mask
     }
 
+    /// Where logical `slot` lives in the side table: `Ok` at its entry,
+    /// `Err` at the vacant position it would take. Logical slots are
+    /// already hash outputs, so their low bits index the side table
+    /// directly; load ≤ ½ (or a one-to-one map) bounds the walk.
+    fn locate(&self, slot: usize) -> Result<usize, usize> {
+        let side_mask = self.entries.len() - 1;
+        let tag = slot as u32 + 1;
+        let mut pos = slot & side_mask;
+        loop {
+            match self.entries[pos].tag {
+                t if t == tag => return Ok(pos),
+                0 => return Err(pos),
+                _ => pos = (pos + 1) & side_mask,
+            }
+        }
+    }
+
+    /// Walks `mask`'s logical probe sequence: `Ok` at the side-table
+    /// position of its entry, `Err` at where an insert would put it.
+    fn find(&self, mask: u64) -> Result<usize, Vacancy> {
+        let home = self.slot(mask);
+        let mut slot = home;
+        let mut home_pos = 0;
+        for probe in 0..PROBE_LIMIT {
+            match self.locate(slot) {
+                Ok(pos) if self.entries[pos].key == mask => return Ok(pos),
+                Ok(pos) if probe == 0 => home_pos = pos,
+                Ok(_) => {}
+                Err(pos) => return Err(Vacancy::Free { slot, pos }),
+            }
+            slot = (slot + 1) & self.index_mask;
+        }
+        // Saturated neighbourhood: the home slot is displaced.
+        Err(Vacancy::Displace { pos: home_pos })
+    }
+
+    /// Stores `mask` where [`find`](Self::find) said it belongs. Valid
+    /// only while the cache is unchanged since that `find`.
+    fn fill(&mut self, vacancy: Vacancy, mask: u64, value: f64) {
+        match vacancy {
+            Vacancy::Displace { pos } => {
+                self.entries[pos].key = mask;
+                self.entries[pos].value = value;
+            }
+            Vacancy::Free { slot, mut pos } => {
+                // At the logical capacity every slot has its own position,
+                // so a full side table still finds each one in one step.
+                if 2 * (self.len + 1) > self.entries.len() && self.entries.len() <= self.index_mask
+                {
+                    self.grow();
+                    pos = self.locate(slot).unwrap_err();
+                }
+                self.entries[pos] = Entry {
+                    tag: slot as u32 + 1,
+                    key: mask,
+                    value,
+                };
+                self.len += 1;
+            }
+        }
+    }
+
+    /// Doubles the side table, re-placing every entry.
+    fn grow(&mut self) {
+        let grown = vec![Entry::default(); 2 * self.entries.len()];
+        let old = std::mem::replace(&mut self.entries, grown);
+        for e in old.into_iter().filter(|e| e.tag != 0) {
+            let at = self.locate(e.tag as usize - 1).unwrap_err();
+            self.entries[at] = e;
+        }
+    }
+
     /// Looks up the value cached for `mask`, if any.
     ///
     /// # Panics
@@ -110,18 +228,7 @@ impl CoalitionCache {
     /// contract, not a cache entry.
     pub fn get(&self, mask: u64) -> Option<f64> {
         debug_assert!(mask != 0, "the empty coalition is never cached");
-        let mut slot = self.slot(mask);
-        for _ in 0..PROBE_LIMIT {
-            let key = self.keys[slot];
-            if key == mask {
-                return Some(self.values[slot]);
-            }
-            if key == 0 {
-                return None;
-            }
-            slot = (slot + 1) & self.index_mask;
-        }
-        None
+        self.find(mask).ok().map(|pos| self.entries[pos].value)
     }
 
     /// Caches `value` for `mask`. When every probed slot is taken by a
@@ -132,26 +239,22 @@ impl CoalitionCache {
     /// Panics (debug only) on the empty mask.
     pub fn insert(&mut self, mask: u64, value: f64) {
         debug_assert!(mask != 0, "the empty coalition is never cached");
-        let home = self.slot(mask);
-        let mut slot = home;
-        for _ in 0..PROBE_LIMIT {
-            let key = self.keys[slot];
-            if key == mask {
-                self.values[slot] = value;
-                return;
-            }
-            if key == 0 {
-                self.keys[slot] = mask;
-                self.values[slot] = value;
-                self.len += 1;
-                return;
-            }
-            slot = (slot + 1) & self.index_mask;
+        match self.find(mask) {
+            Ok(pos) => self.entries[pos].value = value,
+            Err(vacancy) => self.fill(vacancy, mask, value),
         }
-        // Saturated neighbourhood: displace the home slot.
-        self.keys[home] = mask;
-        self.values[home] = value;
     }
+}
+
+/// Where [`CoalitionCache::find`] would put a missing key.
+#[derive(Debug, Clone, Copy)]
+enum Vacancy {
+    /// The first vacant logical `slot` of the probe, which lives at side
+    /// table position `pos`.
+    Free { slot: usize, pos: usize },
+    /// Every probed slot holds another key: overwrite the home slot's
+    /// entry at `pos`.
+    Displace { pos: usize },
 }
 
 /// Replay state of a [`CachedGame`]: the inner state lags behind the
@@ -243,6 +346,23 @@ impl<'g, G: Game> CachedGame<'g, G> {
         }
     }
 
+    /// Counts one lookup of `mask`: its cached value on a hit, on a miss
+    /// where [`CoalitionCache::fill`] should store it once evaluated (the
+    /// inner game never touches this cache, so the walk stays valid).
+    fn lookup(&self, mask: u64) -> Result<f64, Vacancy> {
+        let cache = self.cache.borrow();
+        match cache.find(mask) {
+            Ok(pos) => {
+                self.hits.set(self.hits.get() + 1);
+                Ok(cache.entries[pos].value)
+            }
+            Err(vacancy) => {
+                self.misses.set(self.misses.get() + 1);
+                Err(vacancy)
+            }
+        }
+    }
+
     /// Consumes the wrapper, returning its cache for reuse.
     pub fn into_cache(self) -> CoalitionCache {
         self.cache.into_inner()
@@ -262,14 +382,13 @@ impl<G: Game> Game for CachedGame<'_, G> {
         if mask == 0 {
             return 0.0;
         }
-        if let Some(v) = self.cache.borrow().get(mask) {
-            self.hits.set(self.hits.get() + 1);
-            return v;
-        }
-        self.misses.set(self.misses.get() + 1);
+        let vacancy = match self.lookup(mask) {
+            Ok(v) => return v,
+            Err(vacancy) => vacancy,
+        };
         self.evals.set(self.evals.get() + 1);
         let v = self.inner.value(coalition);
-        self.cache.borrow_mut().insert(mask, v);
+        self.cache.borrow_mut().fill(vacancy, mask, v);
         v
     }
 }
@@ -294,11 +413,10 @@ impl<G: IncrementalGame> IncrementalGame for CachedGame<'_, G> {
     fn add_player(&self, state: &mut Self::State, player: usize) -> f64 {
         state.mask |= 1 << player;
         state.pending.push(player);
-        if let Some(v) = self.cache.borrow().get(state.mask) {
-            self.hits.set(self.hits.get() + 1);
-            return v;
-        }
-        self.misses.set(self.misses.get() + 1);
+        let vacancy = match self.lookup(state.mask) {
+            Ok(v) => return v,
+            Err(vacancy) => vacancy,
+        };
         // Catch the inner state up: pending players are applied in the
         // permutation's own order, so miss values are exactly what the
         // uncached replay would have produced.
@@ -308,7 +426,7 @@ impl<G: IncrementalGame> IncrementalGame for CachedGame<'_, G> {
             self.evals.set(self.evals.get() + 1);
         }
         state.pending.clear();
-        self.cache.borrow_mut().insert(state.mask, value);
+        self.cache.borrow_mut().fill(vacancy, state.mask, value);
         value
     }
 
@@ -317,10 +435,149 @@ impl<G: IncrementalGame> IncrementalGame for CachedGame<'_, G> {
     }
 }
 
+/// The dense table [`CoalitionCache`] replaced, kept as the reference
+/// for its logical behaviour: every logical slot stored, keys and values
+/// side by side.
+#[cfg(test)]
+mod dense {
+    use super::PROBE_LIMIT;
+
+    #[derive(Debug, Clone)]
+    pub(super) struct DenseCoalitionCache {
+        keys: Vec<u64>,
+        values: Vec<f64>,
+        /// Capacity minus one; capacity is a power of two.
+        index_mask: usize,
+        len: usize,
+    }
+
+    impl DenseCoalitionCache {
+        pub(super) fn with_bits(bits: u8) -> Self {
+            assert!((1..=30).contains(&bits), "cache bits must be in 1..=30");
+            let cap = 1usize << bits;
+            Self {
+                keys: vec![0; cap],
+                values: vec![0.0; cap],
+                index_mask: cap - 1,
+                len: 0,
+            }
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.len
+        }
+
+        pub(super) fn capacity(&self) -> usize {
+            self.keys.len()
+        }
+
+        pub(super) fn clear(&mut self) {
+            self.keys.fill(0);
+            self.len = 0;
+        }
+
+        fn slot(&self, mask: u64) -> usize {
+            let mut h = mask;
+            h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (h ^ (h >> 31)) as usize & self.index_mask
+        }
+
+        pub(super) fn get(&self, mask: u64) -> Option<f64> {
+            debug_assert!(mask != 0, "the empty coalition is never cached");
+            let mut slot = self.slot(mask);
+            for _ in 0..PROBE_LIMIT {
+                let key = self.keys[slot];
+                if key == mask {
+                    return Some(self.values[slot]);
+                }
+                if key == 0 {
+                    return None;
+                }
+                slot = (slot + 1) & self.index_mask;
+            }
+            None
+        }
+
+        pub(super) fn insert(&mut self, mask: u64, value: f64) {
+            debug_assert!(mask != 0, "the empty coalition is never cached");
+            let home = self.slot(mask);
+            let mut slot = home;
+            for _ in 0..PROBE_LIMIT {
+                let key = self.keys[slot];
+                if key == mask {
+                    self.values[slot] = value;
+                    return;
+                }
+                if key == 0 {
+                    self.keys[slot] = mask;
+                    self.values[slot] = value;
+                    self.len += 1;
+                    return;
+                }
+                slot = (slot + 1) & self.index_mask;
+            }
+            // Saturated neighbourhood: displace the home slot.
+            self.keys[home] = mask;
+            self.values[home] = value;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::dense::DenseCoalitionCache;
     use super::*;
     use crate::game::{replay_marginals, EvalCounters, PeakDemandGame};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // The sparse store must be indistinguishable from the dense
+        // table: same answer to every `get`, same `len`, under random
+        // insert/get/clear traffic. A key universe a few times the
+        // logical capacity keeps probes exhausting and home slots being
+        // displaced; tiny presizes force side-table growth mid-run.
+        #[test]
+        fn sparse_cache_matches_the_dense_table(
+            bits in 1u8..=10,
+            presize in 0usize..64,
+            universe_factor in 1u64..=4,
+            ops in prop::collection::vec((0u32..100, 1u64..=u64::MAX, 0u32..1_000), 1..1_500),
+        ) {
+            let mut sparse = CoalitionCache::with_bits_and_entries(bits, presize);
+            let mut dense = DenseCoalitionCache::with_bits(bits);
+            prop_assert_eq!(sparse.capacity(), dense.capacity());
+            let universe = (1u64 << bits) * universe_factor;
+            for (i, &(op, raw, value)) in ops.iter().enumerate() {
+                let key = 1 + raw % universe;
+                match op {
+                    0 => {
+                        sparse.clear();
+                        dense.clear();
+                    }
+                    1..=49 => {
+                        let v = f64::from(value) + i as f64 / 4.0;
+                        sparse.insert(key, v);
+                        dense.insert(key, v);
+                    }
+                    _ => prop_assert_eq!(
+                        sparse.get(key).map(f64::to_bits),
+                        dense.get(key).map(f64::to_bits),
+                        "get({}) after {} ops", key, i
+                    ),
+                }
+                prop_assert_eq!(sparse.len(), dense.len());
+            }
+            for key in 1..=universe {
+                prop_assert_eq!(
+                    sparse.get(key).map(f64::to_bits),
+                    dense.get(key).map(f64::to_bits)
+                );
+            }
+        }
+    }
 
     fn demo_game() -> PeakDemandGame {
         PeakDemandGame::new(vec![

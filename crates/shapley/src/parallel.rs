@@ -26,7 +26,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-use crate::cache::CachedGame;
+use crate::cache::{CachedGame, CoalitionCache};
 use crate::game::{EvalCounters, IncrementalGame};
 use crate::sampled::{sample_permutations, Moments, SampleConfig, ShapleyEstimate};
 
@@ -255,12 +255,14 @@ pub struct ParallelConfig {
     /// Worker threads.
     pub threads: usize,
     /// When `true`, each batch replays through a batch-local
-    /// [`CoalitionCache`](crate::cache::CoalitionCache) (sized by
-    /// [`CoalitionCache::for_players`](crate::cache::CoalitionCache::for_players)),
-    /// so repeated permutation prefixes within the batch skip the game.
-    /// Caches are per-batch — never shared across threads — so the
-    /// estimate stays a pure function of the schedule and remains
-    /// bit-identical at any thread count. Requires ≤ 64 players.
+    /// [`CoalitionCache`] with the logical capacity of
+    /// [`CoalitionCache::for_players`], so repeated permutation prefixes
+    /// within the batch skip the game. The cache stores only the
+    /// coalitions the batch reaches (at most `batch_permutations × n`), so
+    /// a 64-permutation batch over 64 players holds ~200 KiB whatever the
+    /// logical capacity. Caches are per-batch — never shared across
+    /// threads — so the estimate stays a pure function of the schedule and
+    /// remains bit-identical at any thread count. Requires ≤ 64 players.
     pub coalition_cache: bool,
 }
 
@@ -324,7 +326,8 @@ fn batch_seed(base_seed: u64, batch: u64) -> u64 {
 /// Runs one batch: `count` permutations drawn from the batch's own RNG
 /// through the shared permutation loop, never stopping early (the
 /// stopping rule runs on the merged prefix, between rounds). With
-/// `coalition_cache` the batch owns a fresh memo table.
+/// `coalition_cache` the batch owns a fresh memo table, presized for the
+/// at most `count × n` coalitions its permutations can reach.
 fn run_batch<G: IncrementalGame>(
     game: &G,
     config: &SampleConfig,
@@ -334,7 +337,9 @@ fn run_batch<G: IncrementalGame>(
 ) -> (Moments, EvalCounters) {
     let mut rng = StdRng::seed_from_u64(seed);
     if coalition_cache {
-        let cached = CachedGame::new(game);
+        let n = game.player_count();
+        let cache = CoalitionCache::for_players_expecting(n, count.saturating_mul(n));
+        let cached = CachedGame::with_cache(game, cache);
         sample_permutations(&cached, config.antithetic, count, &mut rng, |_| false)
     } else {
         sample_permutations(game, config.antithetic, count, &mut rng, |_| false)

@@ -23,7 +23,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use std::time::Instant;
 
-use crate::cache::CachedGame;
+use crate::cache::{CachedGame, CoalitionCache};
 use crate::game::{
     replay_marginals_into, replay_marginals_paired_into, EvalCounters, IncrementalGame,
 };
@@ -361,7 +361,9 @@ pub fn sampled_shapley_cached<G: IncrementalGame>(
     config: &SampleConfig,
     rng: &mut impl Rng,
 ) -> ShapleyEstimate {
-    let cached = CachedGame::new(game);
+    let n = game.player_count();
+    let reachable = config.max_permutations.saturating_mul(n);
+    let cached = CachedGame::with_cache(game, CoalitionCache::for_players_expecting(n, reachable));
     sampled_shapley(&cached, config, rng)
 }
 
