@@ -10,6 +10,9 @@
 //!   uninterrupted run);
 //! * `--retries <n>` — per-batch retry budget for failed/panicked
 //!   batches (default 2).
+//!
+//! `--checkpoint-every` and `--resume` without `--checkpoint` abort
+//! rather than run a fresh, uncheckpointed study.
 
 use std::path::PathBuf;
 
@@ -31,7 +34,22 @@ pub const CHECKPOINT_FLAGS: &[&str] = &["checkpoint", "checkpoint-every", "resum
 /// several studies (the convergence driver runs both): a non-empty
 /// suffix is appended to the `--checkpoint` path as an extra extension,
 /// e.g. `run.ckpt` → `run.ckpt.demand`.
+///
+/// # Panics
+///
+/// Panics when `--resume` or `--checkpoint-every` is given without
+/// `--checkpoint`: with nowhere to read or write snapshots the binary
+/// would silently run a fresh, uncheckpointed study, and a silently
+/// ignored flag changes what the experiment measures.
 pub fn study_options(args: &Args, suffix: &str) -> StudyOptions {
+    if args.str("checkpoint").is_none() {
+        for flag in ["resume", "checkpoint-every"] {
+            assert!(
+                args.str(flag).is_none(),
+                "--{flag} without --checkpoint has no effect; pass --checkpoint <path>"
+            );
+        }
+    }
     let checkpoint = args.str("checkpoint").map(|p| {
         let mut path = PathBuf::from(p);
         if !suffix.is_empty() {
@@ -102,6 +120,18 @@ mod tests {
         assert_eq!(spec.every_batches, 3);
         assert!(opts.resume);
         assert_eq!(opts.retry_budget, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "--resume without --checkpoint has no effect")]
+    fn resume_without_checkpoint_is_rejected() {
+        study_options(&args(&["--resume"]), "");
+    }
+
+    #[test]
+    #[should_panic(expected = "--checkpoint-every without --checkpoint has no effect")]
+    fn checkpoint_every_without_checkpoint_is_rejected() {
+        study_options(&args(&["--checkpoint-every", "4"]), "");
     }
 
     #[test]

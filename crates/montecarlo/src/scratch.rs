@@ -82,13 +82,14 @@ impl TrialScratch {
 /// through.
 ///
 /// The engine only needs two things from a scratch type: construction
-/// (the `make_scratch` closure) and retirement counters when a worker
-/// finishes or an arena is discarded after a failed batch. Implementing
-/// this trait lets any study — the built-in demand/colocation studies
-/// with [`TrialScratch`], or external ones like the Azure-scale
-/// co-simulation in `fairco2-bench` — stream through
-/// [`crate::engine::stream_batches_resumable`] with its own reusable
-/// buffers.
+/// ([`CheckpointedStudy::scratch`](crate::engine::CheckpointedStudy::scratch),
+/// once per worker and once per requeue) and retirement counters when a
+/// worker finishes or an arena is discarded after a failed batch. A
+/// study names its arena as its `CheckpointedStudy::Scratch` — the
+/// built-in demand and colocation studies use [`TrialScratch`], the
+/// Azure-scale co-simulation in `fairco2-bench` needs none
+/// ([`NoScratch`]) — and the surrogate harvest streams through
+/// [`HarvestScratch`](crate::harvest::HarvestScratch).
 pub trait EngineScratch {
     /// Reuse/allocation counters retired with this arena; the default is
     /// all-zero for scratch types that don't track any.
