@@ -51,7 +51,6 @@ fn main() {
     let cfg = EngineConfig {
         threads: args.usize("threads", 1),
         batch_trials: args.usize("batch-buckets", 720),
-        collect_trials: false,
     };
     let opts = study_options(&args, "");
 

@@ -734,7 +734,6 @@ fn main() {
         let cfg = EngineConfig {
             threads: 1,
             batch_trials: DEFAULT_BATCH_TRIALS,
-            collect_trials: false,
         };
         let streaming_secs = best_secs(MC_REPS, || stream_demand_study(&study, cfg));
         let (summary, _, engine) = stream_demand_study(&study, cfg);

@@ -398,7 +398,6 @@ pub fn run_surrogate(study: &SurrogateStudy) -> SurrogateReport {
     let cfg = EngineConfig {
         threads: 1,
         batch_trials: 64,
-        collect_trials: false,
     };
     let streaming_secs = best_secs(study.reps, || stream_demand_study(&eval, cfg));
     let mut fallbacks = 0usize;

@@ -126,7 +126,6 @@ fn demand_summary_is_thread_count_invariant() {
     let cfg = |threads| EngineConfig {
         threads,
         batch_trials: 8,
-        collect_trials: false,
     };
     let (one, _, _) = stream_demand_study(&study, cfg(1));
     for threads in [2, 8] {
@@ -145,7 +144,6 @@ fn colocation_summary_is_thread_count_invariant() {
     let cfg = |threads| EngineConfig {
         threads,
         batch_trials: 5,
-        collect_trials: false,
     };
     let (one, _, _) = stream_colocation_study(&study, cfg(1));
     for threads in [2, 8] {
